@@ -105,35 +105,6 @@ def _headlines(name: str, data: dict) -> list[str]:
             f"{data['checkpoint_bytes'] / 1024:.0f} KiB checkpoint; "
             f"flush drain {_fmt_seconds(data['flush_drain_s'])}",
         ]
-    if name == "BENCH_cache":
-        bounded = data.get("bounded_memory", {})
-        cold = data.get("delta_reuse", {}).get("cold_sweep", {})
-        return [
-            f"- bounded memory: peak {bounded['peak_total_bytes'] / 1024:.0f} KiB "
-            f"under a {bounded['budget_bytes'] / 1024:.0f} KiB budget "
-            f"({bounded['evictions']} evictions; same workload unbounded: "
-            f"{data['unbounded_reference_bytes'] / 1024:.0f} KiB)",
-            f"- cold E1 sweep over fresh polluted states: "
-            f"{cold['transform_hit_rate']:.0%} transform-layer hit rate "
-            f"({cold['block_hits']} block hits, {cold['delta_hits']} delta patches)",
-            f"- cached predictions bit-identical: "
-            f"{data['delta_reuse']['identical_predictions']}",
-        ]
-    if name == "BENCH_frame_cow":
-        token = data.get("signature_cost", {}).get("token", {})
-        digest = data.get("signature_cost", {}).get("digest", {})
-        lines = []
-        if token and digest:
-            lines.append(
-                f"- signature cost on large frames: token "
-                f"{_fmt_seconds(token['large_s'])} vs digest "
-                f"{_fmt_seconds(digest['large_s'])}"
-            )
-        for key, entry in data.items():
-            rate = entry.get("token", {}).get("fit_hit_rate")
-            if rate is not None:
-                lines.append(f"- {key}: fit-cache hit rate {rate:.0%}")
-        return lines
     # Unknown benchmark: quote its first few numeric leaves verbatim.
     return [f"- {path}: {value:g}" for path, value in _walk(data)[:4]]
 

@@ -26,10 +26,11 @@ import time
 import numpy as np
 from _helpers import RESULTS_DIR
 
+from repro.cache import clear_shared_cache
 from repro.core import CometConfig, CometEstimator
 from repro.datasets import load_dataset, pollute
 from repro.errors import MissingValues
-from repro.ml import clear_fit_cache, make_classifier
+from repro.ml import make_classifier
 from repro.runtime import DistributedBackend, SerialBackend
 
 
@@ -52,13 +53,13 @@ def _sweep(backend, polluted, candidates):
 def _timed(backend, polluted, candidates, repeats=5):
     """Best-of-``repeats`` wall clock for one sweep, plus the predictions.
 
-    The first repeat warms the featurization memo (and, for the
-    distributed backend, amortizes worker registration); best-of then
-    measures the steady state every topology reaches in a real session.
+    The first repeat amortizes worker registration on the distributed
+    backend; best-of then measures the steady state every topology
+    reaches in a real session.
     """
     best = float("inf")
     predictions = None
-    clear_fit_cache()
+    clear_shared_cache()
     with backend:
         for __ in range(repeats):
             start = time.perf_counter()

@@ -15,11 +15,10 @@ import time
 import numpy as np
 from _helpers import RESULTS_DIR
 
-from repro.cache import cache_stats
 from repro.core import CometConfig, CometEstimator
 from repro.datasets import load_dataset, pollute
 from repro.errors import MissingValues
-from repro.ml import clear_fit_cache, fit_cache_stats, make_classifier
+from repro.ml import make_classifier
 from repro.runtime import ProcessBackend, SerialBackend, ThreadBackend
 
 WORKERS = 2
@@ -44,40 +43,18 @@ def _sweep(backend, polluted, candidates):
 def _timed(backend, polluted, candidates, repeats=3):
     """Best-of-``repeats`` wall clock for one sweep, plus the predictions.
 
-    The repeats deliberately share the featurization memo (per-worker for
-    process pools, process-wide otherwise): the first repeat warms it and
-    best-of-``repeats`` then measures the steady-state sweep every backend
-    reaches in a real session, so the comparison is like-for-like.
+    Best-of-``repeats`` leaves out pool start-up (the first repeat pays
+    for worker spawn on the process backend), so the comparison is
+    like-for-like.
     """
     best = float("inf")
     predictions = None
-    clear_fit_cache()  # every backend starts from the same cold state
-    fit_cache_stats(reset=True)
     with backend:
         for __ in range(repeats):
             start = time.perf_counter()
             predictions = _sweep(backend, polluted, candidates)
             best = min(best, time.perf_counter() - start)
-    return best, predictions, _hit_rates(fit_cache_stats(reset=True))
-
-
-def _hit_rates(stats):
-    """Featurization-cache hit rates over one backend's timed repeats.
-
-    Process-backend fits run in the workers, whose counters are not
-    visible here — its entry reflects only parent-side activity.
-    """
-    lookups = stats["hits"] + stats["misses"]
-    transforms = stats["transform_hits"] + stats["transform_misses"]
-    blocks = stats["block_hits"] + stats["block_misses"]
-    return {
-        **stats,
-        "fit_hit_rate": stats["hits"] / lookups if lookups else None,
-        "transform_hit_rate": (
-            stats["transform_hits"] / transforms if transforms else None
-        ),
-        "block_hit_rate": stats["block_hits"] / blocks if blocks else None,
-    }
+    return best, predictions
 
 
 def test_estimator_sweep_backends(benchmark):
@@ -87,8 +64,8 @@ def test_estimator_sweep_backends(benchmark):
     n_tasks = len(candidates) * 2 * 2  # candidates × combinations × steps
 
     def run():
-        serial_s, serial_preds, serial_cache = _timed(SerialBackend(), polluted, candidates)
-        thread_s, thread_preds, thread_cache = _timed(ThreadBackend(WORKERS), polluted, candidates)
+        serial_s, serial_preds = _timed(SerialBackend(), polluted, candidates)
+        thread_s, thread_preds = _timed(ThreadBackend(WORKERS), polluted, candidates)
         results = {
             "workload": "estimate_many: 6 candidates x 2 combinations x 2 steps (eeg/mlp)",
             "n_tasks": n_tasks,
@@ -97,24 +74,17 @@ def test_estimator_sweep_backends(benchmark):
             "serial_s": serial_s,
             "thread_s": thread_s,
             "thread_speedup": serial_s / thread_s,
-            "fit_cache": {"serial": serial_cache, "thread": thread_cache},
-            # Byte-level view of the same namespaces on the shared cache.
-            "shared_cache": {
-                ns: {k: entry[k] for k in ("hits", "misses", "evictions", "bytes")}
-                for ns, entry in cache_stats()["namespaces"].items()
-            },
         }
         identical = all(
             s.predicted_f1 == t.predicted_f1 and np.array_equal(s.scores, t.scores)
             for s, t in zip(serial_preds, thread_preds)
         )
         if (os.cpu_count() or 1) >= 2:
-            process_s, process_preds, process_cache = _timed(
+            process_s, process_preds = _timed(
                 ProcessBackend(WORKERS), polluted, candidates
             )
             results["process_s"] = process_s
             results["process_speedup"] = serial_s / process_s
-            results["fit_cache"]["process_parent_side"] = process_cache
             identical = identical and all(
                 s.predicted_f1 == p.predicted_f1
                 for s, p in zip(serial_preds, process_preds)

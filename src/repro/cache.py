@@ -1,20 +1,15 @@
 """Process-wide, size-accounted cache shared by every memoization layer.
 
-Before this module each memo owned its own dictionary with its own ad-hoc
-bound: the featurization fit/transform memos in ``repro.ml.preprocessing``
-counted entries (and the transform memo bytes, with hard-coded limits),
-the FD pair-stats cache in ``repro.detect.fd`` counted entries only, and
-none of them were visible to — let alone governed by — the service's
-:class:`~repro.service.quotas.SessionQuotas`. That is fine for one sweep
-and wrong for a long-lived multi-tenant service: caches must be *shared*
-(identical CleanML column tokens across sessions hit the same entries)
-and *bounded in bytes* process-wide.
+A long-lived multi-tenant service needs its memos *shared* (identical
+CleanML column tokens across sessions hit the same entries), *bounded in
+bytes* process-wide, and governed by the service's
+:class:`~repro.service.quotas.SessionQuotas`.
 
-:class:`SharedCache` is that single layer. Entries live in namespaces
-(``"fit"``, ``"transform"``, ``"blocks"``, ``"fd"``, …), every entry is
-charged its payload ``nbytes`` plus a fixed per-key overhead, and one
-global LRU order spans all namespaces. Eviction — never an error — keeps
-the total under the byte budget:
+:class:`SharedCache` is that single layer. Entries live in namespaces —
+today only ``"fd"``, the FD pair statistics of :mod:`repro.detect.fd` —
+every entry is charged its payload ``nbytes`` plus a fixed per-key
+overhead, and one global LRU order spans all namespaces. Eviction —
+never an error — keeps the total under the byte budget:
 
 - the LRU walk first skips entries whose namespace is at or below its
   *floor* (a small per-namespace reservation, so pressure from one
@@ -31,9 +26,9 @@ budget is wired to ``SessionQuotas.max_cache_bytes`` (and ``serve
 --max-cache-bytes``) by the service layer; see :func:`set_cache_budget`.
 
 Caching here never changes results: callers key entries by content-
-proving signatures (column identity tokens or delta signatures, see
-:mod:`repro.frame.column`), so a hit returns exactly what a recompute
-would. Eviction only costs a future recompute.
+proving column identity tokens (see :mod:`repro.frame.column`), so a hit
+returns exactly what a recompute would. Eviction only costs a future
+recompute.
 """
 
 from __future__ import annotations
@@ -59,8 +54,8 @@ __all__ = [
 DEFAULT_MAX_BYTES = 128 * 1024 * 1024
 
 #: Flat per-entry charge covering the key tuple, the OrderedDict slot,
-#: and bookkeeping — so even nbytes=0 entries (small fit tuples) cannot
-#: grow the cache without limit.
+#: and bookkeeping — so even nbytes=0 entries (small tuples) cannot grow
+#: the cache without limit.
 KEY_OVERHEAD_BYTES = 256
 
 #: No single entry may take more than this fraction of the budget; a
@@ -267,7 +262,7 @@ class SharedCache:
     def lock(self) -> threading.RLock:
         """The cache's lock — callers co-locate their own counters under
         it so read-and-reset stays atomic against puts (see
-        ``repro.ml.preprocessing`` / ``repro.detect.fd``)."""
+        ``repro.detect.fd``)."""
         return self._lock
 
     # ------------------------------------------------------------------ #

@@ -127,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--max-cache-bytes", type=_positive_int, default=None,
-        help="quota: byte budget for the process-wide featurization/FD "
-             "caches, enforced by LRU eviction (never by failing a "
-             "verb); default keeps the built-in 128 MiB budget",
+        help="quota: byte budget for the process-wide shared cache (FD "
+             "pair statistics), enforced by LRU eviction (never by "
+             "failing a verb); default keeps the built-in 128 MiB budget",
     )
     srv.add_argument(
         "--conn-timeout", type=float, default=300.0, metavar="SECONDS",

@@ -124,14 +124,8 @@ class CometEstimator:
 
         The polluted states are copy-on-write: each differs from the
         base frame in one column and *shares* the rest, identity tokens
-        included. Those tokens key the featurization memo
-        (``repro.ml.preprocessing``), so every task's fit recomputes
-        statistics for exactly one column and serves the other columns —
-        categorical ones included — from cache; a task whose frames are
-        entirely unchanged (repeated baselines, replayed states) skips
-        featurization altogether via the transformed-matrix memo.
-        Tokens never reach results, only cache keys, so traces stay
-        bit-identical with caching on or off.
+        and cached integer codes included, so featurizing a state
+        re-encodes only the polluted column's codes.
         """
         cfg = self.config
         tasks: list[FitScoreTask] = []

@@ -121,7 +121,7 @@ def _pair_stats_from_codes(
 #: cache (see :mod:`repro.cache`), keyed by the two columns' content
 #: tokens. Tokens are minted fresh on every mutation, so a hit proves
 #: both columns are byte-identical to when the stats were computed;
-#: byte-accounted eviction bounds it alongside the featurization caches.
+#: byte-accounted eviction bounds it under the process-wide budget.
 _NS_FD = shared_cache().register("fd", floor_bytes=1 * 1024 * 1024)
 #: Semantic counters share the cache's lock so read-and-reset is atomic
 #: against lookups from concurrent scheduler workers.
@@ -130,12 +130,11 @@ _FD_CACHE_LOCK = shared_cache().lock
 
 
 def fd_cache_stats(reset: bool = False) -> dict[str, int]:
-    """Hit/miss counters of the FD pair-stats cache (mirrors
-    :func:`repro.ml.fit_cache_stats`); ``reset=True`` clears both the
-    counters and the cached entries, atomically — a racing lookup either
-    lands before the read (and is reported) or after the reset (counting
-    toward the next window); it can no longer slip between the two and
-    be lost."""
+    """Hit/miss counters of the FD pair-stats cache; ``reset=True``
+    clears both the counters and the cached entries, atomically — a
+    racing lookup either lands before the read (and is reported) or after
+    the reset (counting toward the next window); it can no longer slip
+    between the two and be lost."""
     with _FD_CACHE_LOCK:
         stats = dict(_FD_CACHE_STATS)
         if reset:

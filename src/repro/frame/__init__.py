@@ -8,8 +8,8 @@ row/column selection, copying, and CSV round-tripping.
 Frame copies are copy-on-write: polluted/cleaned states share untouched
 column storage with their parents, and each column content state carries a
 process-unique ``(token, version)`` identity that changes only on mutation.
-``repro.ml.preprocessing`` keys its featurization caches on those tokens,
-which is what makes repeated fits over mostly-shared data states cheap.
+Per-column integer codes (:meth:`Column.codes`) and the FD pair-stats
+cache are keyed on those tokens, so mostly-shared data states reuse them.
 """
 
 from repro.frame.column import Column, ColumnKind

@@ -6,8 +6,9 @@ shares the underlying value/mask arrays with the original, and the
 in-place mutators materialize private arrays on first write — classic
 copy-on-write. Each content state carries a process-unique identity
 ``(token, version)`` that changes *only* on mutation, so downstream code
-(the featurization cache in :mod:`repro.ml.preprocessing`) can decide
-"same content as last time?" in O(1) instead of re-digesting the bytes.
+(the integer-codes cache below, the FD pair-stats cache in
+:mod:`repro.detect.fd`) can decide "same content as last time?" in O(1)
+instead of re-digesting the bytes.
 
 Token safety rules, which together make ``token == token`` imply
 "identical content" everywhere a token can travel:
@@ -25,7 +26,6 @@ Token safety rules, which together make ``token == token`` imply
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 import os
 from typing import Iterable, Sequence
@@ -119,17 +119,6 @@ class Column:
     #: instances consistent without touching ``__setstate__``.
     _codes_cache: tuple | None = None
 
-    #: Row-level mutation lineage ``(base_token, changed-row bool mask)``:
-    #: which rows differ from the content state ``base_token`` identified.
-    #: Maintained by :meth:`_bump` when the mutator knows the touched
-    #: rows, dropped whenever it does not (or the delta stops being
-    #: "small") — absence is always safe, it only costs a cache miss.
-    _delta: tuple | None = None
-
-    #: Per-content-state memo ``(token, signature)`` for
-    #: :meth:`delta_signature` (derived data, dropped on pickling).
-    _delta_sig_cache: tuple | None = None
-
     # ------------------------------------------------------------------ #
     # basic protocol
     # ------------------------------------------------------------------ #
@@ -156,16 +145,13 @@ class Column:
         # to ship across process boundaries.
         state = self.__dict__.copy()
         state.pop("_codes_cache", None)
-        state.pop("_delta_sig_cache", None)
-        # Lineage travels: tokens are pickle-safe, and a worker holding
-        # the base column's twin can still exploit the delta.
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Pickles carry tokens (safe: salted minting makes them unique
         # across processes, and pickle's memo rebuilds array sharing).
         # Legacy pickles from before column versioning lack an identity —
-        # mint one so every live Column has O(1) signatures.
+        # mint one so every live Column has an O(1) identity.
         self.__dict__.update(state)
         if "_token" not in state:
             self._token = _mint_token()
@@ -219,69 +205,9 @@ class Column:
         return self._version
 
     @property
-    def signature(self) -> bytes:
-        """O(1) cache key for this content state (the identity token)."""
-        return self._token
-
-    @property
     def shares_storage(self) -> bool:
         """True while the value arrays may be shared with another column."""
         return self._shared
-
-    def delta_base(self) -> tuple[bytes, np.ndarray] | None:
-        """Row-level lineage: ``(base_token, changed_rows)`` or ``None``.
-
-        When present, this column's content equals the content state
-        identified by ``base_token`` everywhere *except* the returned
-        (sorted, unique) row indices. Consumers holding a cached artifact
-        for ``base_token`` can patch just those rows instead of
-        recomputing the whole column. ``None`` means "no usable lineage"
-        — the mutation history was unknown, too large, or reset — and
-        must always be handled (it is never an error).
-        """
-        if self._delta is None:
-            return None
-        base, mask = self._delta
-        return base, np.flatnonzero(mask)
-
-    def delta_signature(self) -> bytes | None:
-        """A content-proving cache key for this delta state, or ``None``.
-
-        Digest of the base token plus the changed rows' indices, values,
-        and missing flags — everything that, together with the base
-        content, determines this column's content. Two columns with equal
-        delta signatures therefore hold identical content even though
-        their identity tokens differ (each pollution mints fresh tokens),
-        which is what lets a replayed sweep hit the featurization cache
-        on freshly rebuilt polluted states. Memoized per content state.
-        """
-        if self._delta is None:
-            return None
-        cached = self._delta_sig_cache
-        if cached is not None and cached[0] == self._token:
-            return cached[1]
-        base, mask = self._delta
-        rows = np.flatnonzero(mask)
-        h = hashlib.blake2b(digest_size=16)
-        h.update(base)
-        h.update(len(self._values).to_bytes(8, "little"))
-        h.update(rows.astype(np.int64).tobytes())
-        if self.kind is ColumnKind.NUMERIC:
-            h.update(self._values[rows].tobytes())
-        else:
-            for value in self._values[rows].tolist():
-                if value is None:
-                    h.update(b"\x00m")
-                else:
-                    # Type-tagged so e.g. 1 and "1" can never collide.
-                    encoded = str(value).encode("utf-8", "surrogatepass")
-                    h.update(type(value).__name__.encode())
-                    h.update(len(encoded).to_bytes(4, "little"))
-                    h.update(encoded)
-        h.update(self._missing[rows].tobytes())
-        sig = b"dlt\x00" + h.digest()
-        self._delta_sig_cache = (self._token, sig)
-        return sig
 
     def categories(self) -> list:
         """Sorted distinct non-missing values (categorical convenience)."""
@@ -358,8 +284,6 @@ class Column:
         out._version = self._version
         out._shared = True
         out._codes_cache = self._codes_cache
-        out._delta = self._delta
-        out._delta_sig_cache = self._delta_sig_cache
         self._shared = True
         return out
 
@@ -385,33 +309,11 @@ class Column:
             self._missing = self._missing.copy()
             self._shared = False
 
-    def _bump(self, rows: np.ndarray | None = None) -> None:
-        """Mutation happened: mint a fresh token, advance the version.
-
-        ``rows`` (when the mutator knows exactly which rows it touched)
-        extends the delta lineage; ``None`` drops it. The lineage is
-        abandoned once more than a quarter of the rows have changed —
-        past that point a masked patch stops beating a full recompute.
-        """
-        old_token = self._token
+    def _bump(self) -> None:
+        """Mutation happened: mint a fresh token, advance the version."""
         self._token = _mint_token()
         self._version += 1
         self._codes_cache = None
-        self._delta_sig_cache = None
-        if rows is None:
-            self._delta = None
-            return
-        n = len(self._values)
-        if self._delta is None:
-            base, mask = old_token, np.zeros(n, dtype=bool)
-        else:
-            base, prior = self._delta
-            mask = prior.copy()  # shares read the same mask — never write it
-        mask[np.asarray(rows, dtype=np.intp)] = True
-        if int(mask.sum()) * 4 > n:
-            self._delta = None
-        else:
-            self._delta = (base, mask)
 
     def set_values(self, indices: Sequence[int] | np.ndarray, values: Iterable) -> None:
         """Overwrite cells at ``indices`` with ``values``.
@@ -430,10 +332,7 @@ class Column:
         # Bump even when a write fails partway (e.g. an out-of-bounds
         # index): content may already have changed, and a token must
         # never survive a content change — a spurious new token only
-        # costs a cache miss, a stale one serves wrong statistics. A
-        # failed write also drops the delta lineage (rows=None): the set
-        # of actually-written rows is unknown, and an understated mask
-        # would let a patch serve wrong values.
+        # costs a cache miss, a stale one serves wrong statistics.
         try:
             if self.kind is ColumnKind.NUMERIC:
                 arr = np.asarray(vals, dtype=float)
@@ -450,11 +349,8 @@ class Column:
                 arr[miss] = None
                 self._values[idx] = arr
                 self._missing[idx] = miss
-        except BaseException:
+        finally:
             self._bump()
-            raise
-        else:
-            self._bump(rows=idx)
 
     def set_missing(self, indices: Sequence[int] | np.ndarray) -> None:
         """Mark the cells at ``indices`` as missing (copy-on-write)."""
@@ -466,11 +362,8 @@ class Column:
             else:
                 self._values[idx] = None
             self._missing[idx] = True
-        except BaseException:
+        finally:
             self._bump()
-            raise
-        else:
-            self._bump(rows=idx)
 
     # ------------------------------------------------------------------ #
     # functional variants (leave the receiver untouched)

@@ -172,13 +172,8 @@ class DataFrame:
         if col.n_missing:
             raise ValueError(f"label column {label!r} contains missing values")
         if col.is_numeric:
-            values = col.values
-            classes = np.unique(values)
-            lookup = {v: i for i, v in enumerate(classes.tolist())}
-            return np.array([lookup[v] for v in values.tolist()], dtype=int)
-        classes = col.categories()
-        lookup = {v: i for i, v in enumerate(classes)}
-        return np.array([lookup[v] for v in col.values.tolist()], dtype=int)
+            return np.unique(col.values, return_inverse=True)[1].astype(int)
+        return col.codes()[0].astype(int)
 
     def to_dict(self) -> dict[str, list]:
         """Plain-python representation (used by the CSV writer and tests)."""

@@ -35,9 +35,6 @@ from repro.ml.preprocessing import (
     OneHotEncoder,
     StandardScaler,
     TabularPreprocessor,
-    clear_fit_cache,
-    fit_cache_stats,
-    signature_mode,
 )
 from repro.ml.registry import available_algorithms, make_classifier
 from repro.ml.svm import LinearSVC
@@ -65,9 +62,6 @@ __all__ = [
     "StandardScaler",
     "TabularPreprocessor",
     "TabularModel",
-    "clear_fit_cache",
-    "fit_cache_stats",
-    "signature_mode",
     "available_algorithms",
     "make_classifier",
 ]

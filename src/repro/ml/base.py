@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["BaseEstimator", "clone", "check_X_y", "check_X"]
+__all__ = ["BaseEstimator", "clone", "check_X_y", "check_X", "one_hot"]
 
 
 class BaseEstimator:
@@ -76,3 +76,18 @@ def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(X) == 0:
         raise ValueError("cannot fit on an empty dataset")
     return X, y.astype(int)
+
+
+def one_hot(y: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Indicator matrix of ``y`` over the sorted ``classes``.
+
+    Raises ``KeyError`` when ``y`` holds a label outside ``classes``.
+    """
+    y = np.asarray(y)
+    index = np.searchsorted(classes, y).clip(max=len(classes) - 1)
+    unknown = classes[index] != y
+    if unknown.any():
+        raise KeyError(y[unknown][0])
+    out = np.zeros((len(y), len(classes)))
+    out[np.arange(len(y)), index] = 1.0
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from repro.ml.base import BaseEstimator, check_X, check_X_y
+from repro.ml.base import BaseEstimator, check_X, check_X_y, one_hot
 
 __all__ = ["LinearRegression", "LinearRegressionClassifier", "LogisticRegression"]
 
@@ -57,7 +57,7 @@ class LinearRegressionClassifier(BaseEstimator):
         """Fit on the given training data and return ``self``."""
         X, y = check_X_y(X, y)
         self.classes_ = np.unique(y)
-        Y = _one_hot(y, self.classes_)
+        Y = one_hot(y, self.classes_)
         self._model_ = LinearRegression(alpha=self.alpha).fit(X, Y)
         return self
 
@@ -74,7 +74,7 @@ class LinearRegressionClassifier(BaseEstimator):
     def gradient_norms(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-sample squared-loss gradient norms (for ActiveClean)."""
         X, y = check_X_y(X, y)
-        residual = self.decision_function(X) - _one_hot(y, self.classes_)
+        residual = self.decision_function(X) - one_hot(y, self.classes_)
         row_norm = np.linalg.norm(_add_bias(X), axis=1)
         return np.linalg.norm(residual, axis=1) * row_norm
 
@@ -82,7 +82,7 @@ class LinearRegressionClassifier(BaseEstimator):
         """One batch gradient step on the squared loss (ActiveClean update)."""
         X, y = check_X_y(X, y)
         Xb = _add_bias(X)
-        residual = Xb @ self._model_.coef_ - _one_hot(y, self.classes_)
+        residual = Xb @ self._model_.coef_ - one_hot(y, self.classes_)
         grad = Xb.T @ residual / len(X)
         self._model_.coef_ -= lr * grad
 
@@ -109,7 +109,7 @@ class LogisticRegression(BaseEstimator):
         n, d = X.shape
         k = len(self.classes_)
         Xb = _add_bias(X)
-        Y = _one_hot(y, self.classes_)
+        Y = one_hot(y, self.classes_)
         lam = 1.0 / (self.C * n)
 
         def objective(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -146,7 +146,7 @@ class LogisticRegression(BaseEstimator):
         """Per-sample NLL gradient norms (for ActiveClean)."""
         X, y = check_X_y(X, y)
         probs = self.predict_proba(X)
-        residual = probs - _one_hot(y, self.classes_)
+        residual = probs - one_hot(y, self.classes_)
         row_norm = np.linalg.norm(_add_bias(X), axis=1)
         return np.linalg.norm(residual, axis=1) * row_norm
 
@@ -155,20 +155,12 @@ class LogisticRegression(BaseEstimator):
         X, y = check_X_y(X, y)
         Xb = _add_bias(X)
         probs = _softmax(Xb @ self.coef_)
-        grad = Xb.T @ (probs - _one_hot(y, self.classes_)) / len(X)
+        grad = Xb.T @ (probs - one_hot(y, self.classes_)) / len(X)
         self.coef_ -= lr * grad
 
 
 def _add_bias(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((len(X), 1))])
-
-
-def _one_hot(y: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    lookup = {c: i for i, c in enumerate(classes.tolist())}
-    out = np.zeros((len(y), len(classes)))
-    for i, label in enumerate(y.tolist()):
-        out[i, lookup[label]] = 1.0
-    return out
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_X, check_X_y
+from repro.ml.base import BaseEstimator, check_X, check_X_y, one_hot
 
 __all__ = ["MLPClassifier"]
 
@@ -63,10 +63,7 @@ class MLPClassifier(BaseEstimator):
             for i in range(len(sizes) - 1)
         ]
         self.biases_ = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-        Y = np.zeros((n, k))
-        lookup = {c: i for i, c in enumerate(self.classes_.tolist())}
-        for i, label in enumerate(y.tolist()):
-            Y[i, lookup[label]] = 1.0
+        Y = one_hot(y, self.classes_)
 
         m = [np.zeros_like(w) for w in self.weights_] + [np.zeros_like(b) for b in self.biases_]
         v = [np.zeros_like(w) for w in self.weights_] + [np.zeros_like(b) for b in self.biases_]

@@ -6,49 +6,19 @@ inputs: numeric missing cells are mean-imputed (the train mean), while
 categorical missing cells become an explicit ``<missing>`` category —
 mirroring how placeholder values behave in the paper's pipeline.
 
-Fitting and transforming are memoized on column *identity tokens* (see
-:mod:`repro.frame`): frames in the E1 sweep differ from the base frame in
-exactly one polluted column and share the rest, so a signature is an O(1)
-token comparison instead of an O(n) content digest. That makes the cache
-worthwhile for categorical columns too, and cheap enough to extend to
-whole transformed feature matrices, keyed by the tuple of column tokens —
-a repeated fit over an unchanged frame skips featurization entirely.
-A content digest remains as a fallback for externally constructed
-columns (and as the measurable pre-token baseline, via
-:func:`signature_mode`).
-
-All memoized state lives on the process-wide :mod:`repro.cache` layer
-(namespaces ``"fit"``, ``"transform"``, ``"blocks"``): entries are
-byte-accounted, shared across sessions, and evicted under the
-``SessionQuotas.max_cache_bytes`` budget. Memoization also reaches
-*below* the frame level: per-column transformed blocks are keyed by the
-fitted statistics' values plus a content signature, and a polluted
-column carrying row-level lineage (:meth:`Column.delta_base`) is served
-by masked-scatter-patching the base state's cached block — only the
-touched rows are recomputed. Every output cell is an independent
-elementwise function of its input cell, so a patch is bit-identical to
-a recompute; caching never changes results (see ``repro.runtime`` for
-the determinism contract).
+The preprocessor keeps no memo of its own. Categorical columns are read
+through :meth:`Column.codes`, the integer-codes cache each column already
+carries (dropped when the column is mutated), so fitting a category set
+and one-hot encoding a column are both array operations on those codes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-
 import numpy as np
 
-from repro.cache import estimate_nbytes, shared_cache
 from repro.frame import Column, DataFrame
 
-__all__ = [
-    "StandardScaler",
-    "OneHotEncoder",
-    "TabularPreprocessor",
-    "clear_fit_cache",
-    "fit_cache_stats",
-    "signature_mode",
-]
+__all__ = ["StandardScaler", "OneHotEncoder", "TabularPreprocessor"]
 
 
 class StandardScaler:
@@ -114,174 +84,6 @@ class OneHotEncoder:
 
 _MISSING_CATEGORY = "<missing>"
 
-# ---------------------------------------------------------------------- #
-# featurization namespaces on the process-wide shared cache
-# ---------------------------------------------------------------------- #
-#: column signature → per-column fit statistics (immutable tuples).
-_NS_FIT = shared_cache().register("fit", floor_bytes=2 * 1024 * 1024)
-#: (fit signatures, input signatures) → read-only transformed matrix.
-_NS_TRANSFORM = shared_cache().register(
-    "transform", floor_bytes=8 * 1024 * 1024
-)
-#: (fitted-stat values, column signature) → read-only per-column block.
-#: Keying by stat *values* (not fit identity) lets two preprocessors
-#: whose statistics coincide — the unchanged columns of a polluted E1
-#: state — share blocks.
-_NS_BLOCKS = shared_cache().register("blocks", floor_bytes=8 * 1024 * 1024)
-
-#: Counter updates share the cache's lock so ``fit_cache_stats(reset=True)``
-#: is atomic against puts from concurrent scheduler workers — a reset can
-#: no longer race a lookup and lose its count.
-_CACHE_LOCK = shared_cache().lock
-
-
-def _zero_stats() -> dict[str, int]:
-    return {
-        "hits": 0,
-        "misses": 0,
-        "transform_hits": 0,
-        "transform_misses": 0,
-        "block_hits": 0,
-        "block_misses": 0,
-        "delta_hits": 0,
-    }
-
-
-_CACHE_STATS = _zero_stats()
-
-#: ``"token"`` (O(1) identity signatures) or ``"digest"`` (the pre-COW
-#: content-hash baseline: numeric columns only, no transform memo).
-_SIGNATURE_MODE = "token"
-
-
-@contextlib.contextmanager
-def signature_mode(mode: str):
-    """Temporarily select how column signatures are computed.
-
-    ``"token"`` is the production mode. ``"digest"`` reproduces the
-    digest-based baseline so benchmarks can measure what the token layer
-    buys; both caches are cleared on entry and exit so modes never mix.
-    """
-    global _SIGNATURE_MODE
-    if mode not in ("token", "digest"):
-        raise ValueError(f"unknown signature mode {mode!r}")
-    previous = _SIGNATURE_MODE
-    clear_fit_cache()
-    _SIGNATURE_MODE = mode
-    try:
-        yield
-    finally:
-        _SIGNATURE_MODE = previous
-        clear_fit_cache()
-
-
-def clear_fit_cache() -> None:
-    """Drop all memoized featurization state and reset the counters.
-
-    Atomic: the entry drop and the counter reset happen under one lock,
-    so a concurrent worker's lookup can neither hit a dropped entry nor
-    leave a count that the reset then loses.
-    """
-    cache = shared_cache()
-    with _CACHE_LOCK:
-        for namespace in (_NS_FIT, _NS_TRANSFORM, _NS_BLOCKS):
-            cache.clear(namespace)
-        for key in _CACHE_STATS:
-            _CACHE_STATS[key] = 0
-
-
-def fit_cache_stats(reset: bool = False) -> dict[str, int]:
-    """Process-wide hit/miss counters of the featurization caches.
-
-    ``hits``/``misses`` count per-column fit lookups (numeric and
-    categorical); ``transform_hits``/``transform_misses`` count whole
-    transformed-matrix lookups; ``block_hits``/``block_misses`` count
-    per-column transformed-block lookups below the frame level, of which
-    ``delta_hits`` are misses served by patching the base state's block
-    via row lineage instead of a full recompute. ``reset=True`` zeroes
-    the counters after reading, atomically — a racing lookup either lands
-    before the read (and is reported) or after the reset (and counts
-    toward the next window); it is never lost. Benchmark figures use
-    that to report per-phase hit rates instead of process-lifetime
-    aggregates (per-instance numbers live on
-    ``TabularPreprocessor.cache_stats_``). Byte-level accounting for the
-    same namespaces lives on :func:`repro.cache.cache_stats`.
-    """
-    with _CACHE_LOCK:
-        out = dict(_CACHE_STATS)
-        if reset:
-            for key in _CACHE_STATS:
-                _CACHE_STATS[key] = 0
-        return out
-
-
-def _column_signature(column: Column) -> bytes | None:
-    """Content-proving cache key for a column.
-
-    In ``"token"`` mode: the column's row-level delta signature when it
-    carries lineage (stable across replays that rebuild the same
-    pollution from the same base — a re-polluted column mints a fresh
-    token but hashes to the same delta signature), otherwise the O(1)
-    identity token. Tokens change on every mutation and are
-    process-unique (see :mod:`repro.frame.column`), so equal signatures
-    imply equal content either way.
-
-    In ``"digest"`` mode — and for objects without a token — the key is
-    a blake2b content digest: numeric columns hash their raw bytes,
-    categorical columns hash their integer codes plus the category list
-    (``(codes, categories)`` jointly determine every cell including the
-    missing ones, so the digest is content-proving too).
-    """
-    if _SIGNATURE_MODE == "token":
-        delta_signature = getattr(column, "delta_signature", None)
-        if delta_signature is not None:
-            sig = delta_signature()
-            if sig is not None:
-                return sig
-        token = getattr(column, "signature", None)
-        if token is not None:
-            return b"tok\x00" + token
-    if not column.is_numeric:
-        codes, cats = column.codes()
-        h = hashlib.blake2b(digest_size=16)
-        h.update(b"cat\x00")
-        h.update(len(column).to_bytes(8, "little"))
-        h.update(np.ascontiguousarray(codes, dtype=np.int64).tobytes())
-        for cat in cats:
-            encoded = str(cat).encode("utf-8", "surrogatepass")
-            h.update(len(encoded).to_bytes(4, "little"))
-            h.update(encoded)
-        return h.digest()
-    h = hashlib.blake2b(digest_size=16)
-    h.update(b"num\x00")
-    h.update(column.values.tobytes())
-    h.update(column.missing_mask.tobytes())
-    h.update(len(column).to_bytes(8, "little"))
-    return h.digest()
-
-
-def _cached_column_fit(column: Column, compute, stats: dict) -> tuple:
-    """Serve ``compute(column)`` from the shared cache, keyed by signature."""
-    key = _column_signature(column)
-    if key is None:
-        stats["misses"] += 1
-        with _CACHE_LOCK:
-            _CACHE_STATS["misses"] += 1
-        return compute(column)
-    cache = shared_cache()
-    cached = cache.get(_NS_FIT, key)
-    if cached is not None:
-        with _CACHE_LOCK:
-            _CACHE_STATS["hits"] += 1
-        stats["hits"] += 1
-        return cached
-    with _CACHE_LOCK:
-        _CACHE_STATS["misses"] += 1
-    stats["misses"] += 1
-    value = compute(column)
-    cache.put(_NS_FIT, key, value, nbytes=estimate_nbytes(value))
-    return value
-
 
 def _fit_numeric_column(column: Column) -> tuple[float, float, float]:
     """(imputation mean, scaler mean, scaler std) for one numeric column."""
@@ -295,13 +97,12 @@ def _fit_numeric_column(column: Column) -> tuple[float, float, float]:
     return impute, float(filled.mean()), std if std != 0.0 else 1.0
 
 
-def _fit_categorical_column(column: Column) -> tuple:
-    """Sorted category tuple (with ``<missing>``) for one object column."""
-    values = column.values[~column.missing_mask]
-    present = set(values.tolist())
-    if column.n_missing:
-        present.add(_MISSING_CATEGORY)
-    return tuple(sorted(present, key=str))
+def _fit_categorical_column(column: Column) -> list:
+    """Sorted categories (with ``<missing>``) for one object column."""
+    cats = list(column.codes()[1])
+    if column.n_missing and _MISSING_CATEGORY not in cats:
+        cats.append(_MISSING_CATEGORY)
+    return sorted(cats, key=str)
 
 
 class TabularPreprocessor:
@@ -316,42 +117,12 @@ class TabularPreprocessor:
     ----------
     feature_names:
         Columns to encode, in order. The label column must not be included.
-    cache:
-        Serve per-column fit statistics — and, when every feature column
-        carries an identity signature, whole transformed matrices — from
-        the process-wide featurization cache (default). Disable to force
-        recomputation; fitted state and outputs are identical either way.
-
-    Attributes
-    ----------
-    cache_stats_:
-        Per-instance hit/miss counters (same keys as
-        :func:`fit_cache_stats`), accumulated over this object's
-        lifetime — unlike the process-global counters, they are not
-        polluted by other sessions or benchmark figures.
     """
 
-    def __init__(self, feature_names: list[str], cache: bool = True) -> None:
+    def __init__(self, feature_names: list[str]) -> None:
         if not feature_names:
             raise ValueError("need at least one feature column")
         self.feature_names = list(feature_names)
-        self.cache = cache
-        self.cache_stats_ = _zero_stats()
-
-    def _stats(self) -> dict:
-        # Instances unpickled from older checkpoints lack the counter
-        # dict (or the newer block/delta counters); backfill lazily.
-        if not hasattr(self, "cache_stats_"):
-            self.cache_stats_ = _zero_stats()
-        elif "block_hits" not in self.cache_stats_:
-            for key, value in _zero_stats().items():
-                self.cache_stats_.setdefault(key, value)
-        return self.cache_stats_
-
-    def _column_fit(self, column: Column, compute) -> tuple:
-        if self.cache:
-            return _cached_column_fit(column, compute, self._stats())
-        return compute(column)
 
     def fit(self, frame: DataFrame) -> "TabularPreprocessor":
         """Fit on the given training data and return ``self``."""
@@ -364,7 +135,7 @@ class TabularPreprocessor:
         self.numeric_means_ = {}
         scale_means, scale_stds = [], []
         for name in self.numeric_names_:
-            impute, mean, std = self._column_fit(frame[name], _fit_numeric_column)
+            impute, mean, std = _fit_numeric_column(frame[name])
             self.numeric_means_[name] = impute
             scale_means.append(mean)
             scale_stds.append(std)
@@ -376,227 +147,44 @@ class TabularPreprocessor:
             self.scaler_ = None
         self.encoder_ = OneHotEncoder()
         self.encoder_.categories_ = [
-            list(self._column_fit(frame[n], _fit_categorical_column))
-            for n in self.categorical_names_
+            _fit_categorical_column(frame[n]) for n in self.categorical_names_
         ]
-        # The fitted state is a pure function of these signatures — they
-        # key the transformed-matrix memo. The memo needs O(1) keys to
-        # pay off, so the digest baseline runs without it; ``None`` (an
-        # unsignable column) disables it too.
-        self._fit_key = (
-            self._frame_key(frame) if _SIGNATURE_MODE == "token" else None
-        )
         return self
-
-    def _frame_key(self, frame: DataFrame) -> tuple | None:
-        signatures = []
-        for name in self.feature_names:
-            signature = _column_signature(frame[name])
-            if signature is None:
-                return None
-            signatures.append(signature)
-        return tuple(signatures)
 
     def transform(self, frame: DataFrame) -> np.ndarray:
         """Transform the input using the fitted state.
 
-        When caching is on and both the fit frame and ``frame`` carry
-        O(1) signatures, the whole output matrix is memoized: repeated
-        transforms of an unchanged frame (the dominant access pattern of
-        repeated E1 sweeps over mostly-shared data states) skip
-        featurization entirely. Returns a fresh writable array either
-        way.
+        Numeric cells that are missing or non-finite take the column's
+        imputation mean, then every numeric column is standardized. Each
+        categorical column's own codes are mapped to fitted one-hot
+        indices through a remap array whose last slot serves code ``-1``
+        (missing cells land on ``<missing>``); categories unseen at fit
+        time map to no index and encode to zeros.
         """
-        key = None
-        cache = shared_cache()
-        if self.cache and getattr(self, "_fit_key", None) is not None:
-            input_key = self._frame_key(frame)
-            if input_key is not None:
-                key = (self._fit_key, input_key)
-                cached = cache.get(_NS_TRANSFORM, key)
-                stats = self._stats()
-                if cached is not None:
-                    stats["transform_hits"] += 1
-                    with _CACHE_LOCK:
-                        _CACHE_STATS["transform_hits"] += 1
-                    return cached.copy()
-                stats["transform_misses"] += 1
-                with _CACHE_LOCK:
-                    _CACHE_STATS["transform_misses"] += 1
-        if self.cache and _SIGNATURE_MODE == "token":
-            out = self._transform_blocks(frame)
-        else:
-            out = self._transform_uncached(frame)
-        if key is not None:
-            master = out.copy()
-            master.setflags(write=False)
-            cache.put(_NS_TRANSFORM, key, master, nbytes=master.nbytes)
-        return out
-
-    def _transform_blocks(self, frame: DataFrame) -> np.ndarray:
-        """Assemble the output matrix from shared per-column blocks.
-
-        Each block is keyed by the fitted statistics' *values* plus the
-        column's content signature, so fresh fits whose statistics
-        coincide with an earlier one (all unchanged columns of a polluted
-        E1 state) reuse blocks across preprocessor instances — this is
-        where fresh polluted states, which always miss the whole-matrix
-        memo, still skip most featurization work. A block miss on a
-        column carrying row-level lineage is served by masked-scatter
-        patching the base state's cached block: copy, recompute only the
-        changed rows. Every output cell is an independent elementwise
-        function of its input cell, so both the per-column assembly and
-        the patch are bit-identical to :meth:`_transform_uncached`.
-        """
-        parts: list[np.ndarray] = []
-        numeric_blocks: list[np.ndarray] = []
+        out = np.zeros((frame.n_rows, self.n_output_features()))
         for j, name in enumerate(self.numeric_names_):
-            column = frame[name]
-            impute = self.numeric_means_[name]
-            mean = self.scaler_.mean_[j]
-            scale = self.scaler_.scale_[j]
-            stats_key = ("num", float(impute), float(mean), float(scale))
-            numeric_blocks.append(
-                self._cached_block(
-                    stats_key,
-                    column,
-                    compute=lambda: self._numeric_block(
-                        column, impute, mean, scale
-                    ),
-                    patch=lambda base, rows: self._patch_numeric(
-                        base, rows, column, impute, mean, scale
-                    ),
-                )
+            # Missing numeric cells hold nan, so "non-finite" covers them.
+            values = frame[name].values
+            filled = np.where(np.isfinite(values), values, self.numeric_means_[name])
+            out[:, j] = (filled - self.scaler_.mean_[j]) / self.scaler_.scale_[j]
+        rows, cols = [], []
+        offset = len(self.numeric_names_)
+        for name, cats in zip(self.categorical_names_, self.encoder_.categories_):
+            codes, own = frame[name].codes()
+            fitted = {c: i for i, c in enumerate(cats)}
+            remap = np.array(
+                [fitted.get(c, -1) for c in own]
+                + [fitted.get(_MISSING_CATEGORY, -1)],
+                dtype=np.intp,
             )
-        if numeric_blocks:
-            parts.append(np.column_stack(numeric_blocks))
-        for j, name in enumerate(self.categorical_names_):
-            column = frame[name]
-            cats = self.encoder_.categories_[j]
-            stats_key = ("cat", tuple(cats))
-            parts.append(
-                self._cached_block(
-                    stats_key,
-                    column,
-                    compute=lambda: self._categorical_block(column, cats),
-                    patch=lambda base, rows: self._patch_categorical(
-                        base, rows, column, cats
-                    ),
-                )
-            )
-        if not parts:
-            raise ValueError("no feature columns to transform")
-        return np.hstack(parts)
-
-    def _cached_block(
-        self, stats_key: tuple, column: Column, compute, patch
-    ) -> np.ndarray:
-        """One column's transformed block, via the shared block cache.
-
-        Returned arrays are owned by the cache (read-only): callers
-        assemble them with copying stack operations. Besides its content
-        signature, a block is aliased under the column's identity token
-        so later delta patches can find it by ``delta_base()`` alone.
-        """
-        cache = shared_cache()
-        stats = self._stats()
-        sig = _column_signature(column)
-        key = (stats_key, sig)
-        block = cache.get(_NS_BLOCKS, key)
-        if block is not None:
-            stats["block_hits"] += 1
-            with _CACHE_LOCK:
-                _CACHE_STATS["block_hits"] += 1
-            return block
-        stats["block_misses"] += 1
-        with _CACHE_LOCK:
-            _CACHE_STATS["block_misses"] += 1
-        block = None
-        delta = column.delta_base() if hasattr(column, "delta_base") else None
-        if delta is not None:
-            base_token, rows = delta
-            base_block = cache.get(
-                _NS_BLOCKS, (stats_key, b"tok\x00" + base_token)
-            )
-            if base_block is not None:
-                block = patch(base_block, rows)
-                stats["delta_hits"] += 1
-                with _CACHE_LOCK:
-                    _CACHE_STATS["delta_hits"] += 1
-        if block is None:
-            block = compute()
-        block = np.ascontiguousarray(block)
-        block.setflags(write=False)
-        cache.put(_NS_BLOCKS, key, block, nbytes=block.nbytes)
-        token = getattr(column, "token", None)
-        if token is not None:
-            token_key = (stats_key, b"tok\x00" + token)
-            if token_key != key:
-                cache.put(_NS_BLOCKS, token_key, block, nbytes=block.nbytes)
-        return block
-
-    def _numeric_block(self, column: Column, impute, mean, scale) -> np.ndarray:
-        """One numeric column, imputed/clamped/scaled — the exact per-cell
-        operations :meth:`_numeric_matrix` + ``StandardScaler`` apply."""
-        values = column.values.copy()
-        values[column.missing_mask] = impute
-        values[~np.isfinite(values)] = impute
-        return (values - mean) / scale
-
-    @staticmethod
-    def _patch_numeric(
-        base: np.ndarray, rows: np.ndarray, column: Column, impute, mean, scale
-    ) -> np.ndarray:
-        out = base.copy()
-        values = column.values[rows].copy()
-        values[column.missing_mask[rows]] = impute
-        values[~np.isfinite(values)] = impute
-        out[rows] = (values - mean) / scale
+            index = remap[codes]
+            hit = np.flatnonzero(index >= 0)
+            rows.append(hit)
+            cols.append(index[hit] + offset)
+            offset += len(cats)
+        if rows:
+            out[np.concatenate(rows), np.concatenate(cols)] = 1.0
         return out
-
-    @staticmethod
-    def _categorical_block(column: Column, cats: list) -> np.ndarray:
-        """One one-hot block — the exact per-cell operations
-        :meth:`_categorical_values` + ``OneHotEncoder`` apply."""
-        lookup = {c: i for i, c in enumerate(cats)}
-        values = column.values.copy()
-        values[column.missing_mask] = _MISSING_CATEGORY
-        block = np.zeros((len(values), len(cats)))
-        for row, value in enumerate(values.tolist()):
-            j = lookup.get(value)
-            if j is not None:
-                block[row, j] = 1.0
-        return block
-
-    @staticmethod
-    def _patch_categorical(
-        base: np.ndarray, rows: np.ndarray, column: Column, cats: list
-    ) -> np.ndarray:
-        lookup = {c: i for i, c in enumerate(cats)}
-        out = base.copy()
-        out[rows, :] = 0.0
-        values = column.values[rows]
-        missing = column.missing_mask[rows]
-        for k, row in enumerate(rows.tolist()):
-            value = _MISSING_CATEGORY if missing[k] else values[k]
-            j = lookup.get(value)
-            if j is not None:
-                out[row, j] = 1.0
-        return out
-
-    def _transform_uncached(self, frame: DataFrame) -> np.ndarray:
-        parts = []
-        if self.numeric_names_:
-            parts.append(self.scaler_.transform(self._numeric_matrix(frame)))
-        if self.categorical_names_:
-            parts.append(
-                self.encoder_.transform(
-                    [self._categorical_values(frame, n) for n in self.categorical_names_]
-                )
-            )
-        if not parts:
-            raise ValueError("no feature columns to transform")
-        return np.hstack(parts)
 
     def fit_transform(self, frame: DataFrame) -> np.ndarray:
         """Fit and transform in one call."""
@@ -604,30 +192,4 @@ class TabularPreprocessor:
 
     def n_output_features(self) -> int:
         """Number of columns the transform produces."""
-        n = len(self.numeric_names_)
-        if self.categorical_names_:
-            n += self.encoder_.n_output_features()
-        return n
-
-    # ------------------------------------------------------------------ #
-    def _numeric_matrix(self, frame: DataFrame) -> np.ndarray:
-        if not self.numeric_names_:
-            return np.zeros((frame.n_rows, 0))
-        cols = []
-        for name in self.numeric_names_:
-            col = frame[name]
-            values = col.values.copy()
-            values[col.missing_mask] = self.numeric_means_[name]
-            # Guard against non-finite dirty cells (e.g. inf from scaling
-            # errors compounding); clamp to the imputation value.
-            bad = ~np.isfinite(values)
-            values[bad] = self.numeric_means_[name]
-            cols.append(values)
-        return np.column_stack(cols)
-
-    @staticmethod
-    def _categorical_values(frame: DataFrame, name: str) -> np.ndarray:
-        col = frame[name]
-        values = col.values.copy()
-        values[col.missing_mask] = _MISSING_CATEGORY
-        return values
+        return len(self.numeric_names_) + self.encoder_.n_output_features()

@@ -42,7 +42,7 @@ Serial, thread, process, and distributed runs of the same session are
    returns results in task order regardless of completion order.
 3. *Model fits are deterministic.*  Learners take explicit
    ``random_state`` hyperparameters and never touch global RNG state, and
-   the featurization cache only memoizes values that a cache-miss would
+   the shared cache only memoizes values that a cache-miss would
    recompute identically.
 
 Consequently a :class:`~repro.core.trace.CleaningTrace` produced with

@@ -11,10 +11,8 @@ task was built.
 Task frames are copy-on-write (:mod:`repro.frame`): states produced by
 one E1 sweep share their untouched columns, so pickling a batch of tasks
 serializes each shared column once (pickle's memo follows object
-identity) and the salted identity tokens survive the trip. Worker
-processes therefore see the *same* token on the same content across
-tasks and sweeps, and their featurization caches hit exactly like the
-parent's would — without shipping any cache state.
+identity) and the salted identity tokens survive the trip, so a
+worker's columns keep the identities the parent minted.
 
 The same purity is what makes the distributed backend's fault tolerance
 safe: :func:`run_fit_score_task` is importable by name in any worker

@@ -13,7 +13,7 @@ process. Three knobs:
 - ``max_seconds`` — accumulated engine wall-clock one session may burn
   in iteration verbs (same boundary guarantee);
 - ``max_cache_bytes`` — process-wide byte budget for the shared
-  featurization/FD caches (:mod:`repro.cache`). Unlike the other knobs
+  cache (:mod:`repro.cache`). Unlike the other knobs
   it is enforced by *eviction*, never by erroring a verb: exceeding it
   costs recomputation, not availability.
 

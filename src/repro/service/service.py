@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from repro.cache import cache_stats, set_cache_budget
 from repro.detect import fd_cache_stats
 from repro.experiments import Configuration, build_polluted
-from repro.ml import fit_cache_stats
 from repro.runtime import ExecutionBackend, make_backend
 from repro.service.quotas import SessionBusyError, SessionQuotas, error_payload
 from repro.service.scheduler import SessionScheduler
@@ -663,7 +662,6 @@ class CometService:
                 "scheduler": self.scheduler.stats(),
                 "quotas": self.quotas.to_dict(),
                 "fd_cache": fd_cache_stats(),
-                "fit_cache": fit_cache_stats(),
                 "cache": cache_stats(),
             }
             backend_stats = getattr(self.backend, "stats", None)

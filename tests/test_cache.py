@@ -1,6 +1,6 @@
 """The shared eviction-aware cache layer (``repro.cache``).
 
-Three contracts:
+Two contracts:
 
 * **Accounting** — entries are charged payload bytes + key overhead,
   per-namespace and total byte counters track puts/evictions exactly,
@@ -8,12 +8,7 @@ Three contracts:
 * **Equivalence** — caching and eviction never change results: session
   traces are bit-identical under a generous budget, a starvation-level
   budget (every put evicts something), and a cold cache, in both kernel
-  modes; and the sub-frame block/delta memo returns matrices
-  bit-identical to the uncached transform path.
-* **Reuse** — the block cache pays on *fresh* polluted states (the E1
-  sweep pattern the whole-matrix memo never hits): unchanged columns
-  hit shared blocks, polluted categorical columns patch the base
-  state's block via row lineage.
+  modes.
 """
 
 import numpy as np
@@ -31,21 +26,16 @@ from repro.cache import (
 from repro.core import CometConfig
 from repro.datasets import load_dataset, pollute
 from repro.detect import AlgorithmicCleaner, clear_fd_cache
-from repro.frame import Column, DataFrame
 from repro.kernels import use_kernels
-from repro.ml import clear_fit_cache, fit_cache_stats
-from repro.ml.preprocessing import TabularPreprocessor
 from repro.session import CleaningSession
 
 
 @pytest.fixture(autouse=True)
 def _pristine_shared_cache():
     """Every test starts cold and leaves the default budget behind."""
-    clear_fit_cache()
     clear_fd_cache()
     yield
     set_cache_budget(DEFAULT_MAX_BYTES)
-    clear_fit_cache()
     clear_fd_cache()
 
 
@@ -173,118 +163,25 @@ class TestModuleSingleton:
         assert shared_cache().max_bytes == 32 * 1024
         assert cache_stats()["max_bytes"] == 32 * 1024
 
-    def test_featurization_namespaces_are_registered(self):
-        assert {"fit", "transform", "blocks", "fd"} <= set(
-            cache_stats()["namespaces"]
-        )
+    def test_only_the_fd_namespace_is_registered(self):
+        assert set(cache_stats()["namespaces"]) == {"fd"}
 
     def test_clear_shared_cache_drops_everything(self):
-        shared_cache().put("fit", b"probe", (1.0, 2.0, 3.0), nbytes=24)
+        shared_cache().put("fd", b"probe", (1.0, 2.0, 3.0), nbytes=24)
         clear_shared_cache()
         assert cache_stats()["total_bytes"] == 0
 
 
 # --------------------------------------------------------------------- #
-# Sub-frame memoization: bit-identical to the uncached transform path
-# --------------------------------------------------------------------- #
-def _feature_frame(n=160, rng_seed=0):
-    rng = np.random.default_rng(rng_seed)
-    return DataFrame([
-        Column("x", rng.normal(size=n)),
-        Column("y", rng.normal(size=n)),
-        Column("c", rng.choice(["a", "b", "c"], size=n).astype(object)),
-        Column("d", rng.choice(["p", "q"], size=n).astype(object)),
-    ])
-
-
-class TestBlockEquivalence:
-    NAMES = ["x", "y", "c", "d"]
-
-    def _assert_equivalent(self, frame):
-        cached = TabularPreprocessor(self.NAMES).fit(frame).transform(frame)
-        uncached = (
-            TabularPreprocessor(self.NAMES, cache=False)
-            .fit(frame)
-            .transform(frame)
-        )
-        assert np.array_equal(cached, uncached)
-
-    def test_fresh_polluted_states_transform_bit_identically(self):
-        base = _feature_frame()
-        # Warm the cache with the base state, then pollute each column
-        # kind in turn — categorical rewrites, numeric rewrites, missing.
-        TabularPreprocessor(self.NAMES).fit(base).transform(base)
-        polluted = [
-            DataFrame([base["x"], base["y"],
-                       base["c"].with_values([3, 11], ["b", "a"]), base["d"]]),
-            DataFrame([base["x"].with_values([5], [42.0]), base["y"],
-                       base["c"], base["d"]]),
-            DataFrame([base["x"].with_missing([0, 7]), base["y"],
-                       base["c"].with_missing([2]), base["d"]]),
-        ]
-        for frame in polluted:
-            self._assert_equivalent(frame)
-        stats = fit_cache_stats()
-        assert stats["block_hits"] > 0  # unchanged columns reused blocks
-        assert stats["delta_hits"] > 0  # polluted columns patched bases
-
-    def test_delta_patch_equals_full_recompute_exactly(self):
-        base = _feature_frame()
-        pre = TabularPreprocessor(self.NAMES).fit(base)
-        pre.transform(base)
-        state = DataFrame([base["x"], base["y"],
-                           base["c"].with_values([1, 4, 9], ["c", "c", "a"]),
-                           base["d"]])
-        # Same fitted stats → the categorical block comes from a patch.
-        patched = TabularPreprocessor(self.NAMES).fit(base).transform(state)
-        assert fit_cache_stats()["delta_hits"] > 0
-        full = (
-            TabularPreprocessor(self.NAMES, cache=False)
-            .fit(base)
-            .transform(state)
-        )
-        assert np.array_equal(patched, full)
-
-    def test_replayed_pollution_hits_without_token_equality(self):
-        base = _feature_frame()
-        first = DataFrame([base["x"], base["y"],
-                           base["c"].with_values([3], ["b"]), base["d"]])
-        TabularPreprocessor(self.NAMES).fit(first).transform(first)
-        before = fit_cache_stats()
-        # Re-derive the identical pollution: fresh tokens, same delta
-        # signature → whole-matrix and fit lookups hit.
-        replay = DataFrame([base["x"], base["y"],
-                            base["c"].with_values([3], ["b"]), base["d"]])
-        TabularPreprocessor(self.NAMES).fit(replay).transform(replay)
-        after = fit_cache_stats()
-        assert after["hits"] >= before["hits"] + 4
-        assert after["transform_hits"] >= before["transform_hits"] + 1
-
-    def test_eviction_thrash_stays_bit_identical(self):
-        # A budget so small every put evicts something: correctness must
-        # not depend on anything surviving.
-        set_cache_budget(4 * 1024)
-        base = _feature_frame()
-        states = [base] + [
-            DataFrame([base["x"], base["y"],
-                       base["c"].with_values([i], ["a"]), base["d"]])
-            for i in range(4)
-        ]
-        for frame in states:
-            self._assert_equivalent(frame)
-        assert cache_stats()["total_bytes"] <= 4 * 1024
-
-
-# --------------------------------------------------------------------- #
 # Whole-session equivalence: budgets and kernel modes never change traces
 # --------------------------------------------------------------------- #
-def _session_trace(seed=3):
+def _session_trace(seed=3, errors=("missing",)):
     dataset = load_dataset("cmc", n_rows=120, rng=0)
-    polluted = pollute(dataset, error_types=["missing"], rng=seed)
+    polluted = pollute(dataset, error_types=list(errors), rng=seed)
     session = CleaningSession.create(
         polluted,
         algorithm="lor",
-        error_types=["missing"],
+        error_types=list(errors),
         budget=3.0,
         config=CometConfig(step=0.05),
         rng=0,
@@ -299,34 +196,26 @@ def _session_trace(seed=3):
 class TestSessionEquivalence:
     @pytest.mark.parametrize("mode", ["vectorized", "reference"])
     def test_traces_identical_across_budgets(self, mode):
+        # Categorical-shift detection mines FDs through the "fd" namespace.
+        errors = ("categorical",)
         with use_kernels(mode):
-            clear_fit_cache()
             clear_fd_cache()
-            baseline = _session_trace()
+            baseline = _session_trace(errors=errors)
             # Warm shared cache (second run leans on the first run's
             # entries as another tenant would).
-            warm = _session_trace()
+            warm = _session_trace(errors=errors)
             # Starvation budget: eviction on nearly every put.
-            set_cache_budget(16 * 1024)
-            clear_fit_cache()
+            set_cache_budget(4 * 1024)
             clear_fd_cache()
-            starved = _session_trace()
+            starved = _session_trace(errors=errors)
             assert warm == baseline
             assert starved == baseline
 
     def test_bounded_memory_under_budget(self):
-        set_cache_budget(64 * 1024)
-        for seed in (1, 2, 3):
-            _session_trace(seed=seed)
-            assert cache_stats()["total_bytes"] <= 64 * 1024
+        # Categorical-shift detection mines FDs, which fills the "fd"
+        # namespace past this budget.
+        set_cache_budget(8 * 1024)
+        for seed in (1, 2):
+            _session_trace(seed=seed, errors=("categorical",))
+            assert cache_stats()["total_bytes"] <= 8 * 1024
         assert cache_stats()["evictions"] > 0
-
-    def test_sweep_reuses_featurization_on_fresh_states(self):
-        clear_fit_cache()
-        _session_trace()
-        stats = fit_cache_stats()
-        # Every polluted candidate state is fresh (new tokens), yet the
-        # block layer reuses unchanged columns' featurization.
-        assert stats["block_hits"] > 0
-        blocks = cache_stats()["namespaces"]["blocks"]
-        assert blocks["hits"] > 0

@@ -170,8 +170,8 @@ class TestSessionCommands:
                 # Observability extras (PR 7): scheduler + cache counters.
                 assert status["scheduler"]["jobs_in_flight"] == 0
                 assert {"hits", "misses"} <= set(status["fd_cache"])
-                assert {"hits", "misses"} <= set(status["fit_cache"])
                 assert {"max_bytes", "total_bytes"} <= set(status["cache"])
+                assert set(status["cache"]["namespaces"]) == {"fd"}
                 assert client.shutdown_server() == {"shutdown": True}
             assert proc.wait(timeout=30) == 0
         finally:

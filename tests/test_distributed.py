@@ -471,7 +471,7 @@ class TestStatusObservability:
         assert response["ok"]
         result = response["result"]
         assert {"hits", "misses"} <= set(result["fd_cache"])
-        assert {"hits", "misses", "transform_hits"} <= set(result["fit_cache"])
+        assert set(result["cache"]["namespaces"]) == {"fd"}
         assert result["scheduler"]["workers"] == 4
         assert result["scheduler"]["jobs_in_flight"] == 0
 

@@ -5,9 +5,10 @@ one frame is never visible through another (structural sharing is an
 optimization, not a semantic), and pickling shared frames — checkpoints,
 process-backend tasks — rebuilds the sharing on the far side without
 correctness loss. These tests pin both, plus the identity-token rules
-the featurization cache relies on.
+the token-keyed caches rely on.
 """
 
+import base64
 import pickle
 
 import numpy as np
@@ -17,10 +18,31 @@ from repro.datasets import load_cleanml, load_dataset, pollute
 from repro.errors import MissingValues
 from repro.errors.polluter import Polluter
 from repro.frame import Column, DataFrame
-from repro.ml import clear_fit_cache, make_classifier
+from repro.ml import TabularPreprocessor, make_classifier
 from repro.runtime import FitScoreTask, ProcessBackend, run_fit_score_task
 from repro.session import CleaningSession
 from repro.core.config import CometConfig
+
+
+#: A ``TabularPreprocessor`` fitted on the ``frame`` fixture, pickled by
+#: a release that kept per-instance featurization memo state.
+_LEGACY_PREPROCESSOR = (
+    "gASVuAIAAAAAAACMFnJlcHJvLm1sLnByZXByb2Nlc3NpbmeUjBNUYWJ1bGFyUHJl"
+    "cHJvY2Vzc29ylJOUKYGUfZQojA1mZWF0dXJlX25hbWVzlF2UKIwDbnVtlIwDY2F0"
+    "lGWMBWNhY2hllIiMDGNhY2hlX3N0YXRzX5R9lCiMBGhpdHOUSwCMBm1pc3Nlc5RL"
+    "AowOdHJhbnNmb3JtX2hpdHOUSwCMEHRyYW5zZm9ybV9taXNzZXOUSwGMCmJsb2Nr"
+    "X2hpdHOUSwCMDGJsb2NrX21pc3Nlc5RLAowKZGVsdGFfaGl0c5RLAHWMDm51bWVy"
+    "aWNfbmFtZXNflF2UaAdhjBJjYXRlZ29yaWNhbF9uYW1lc1+UXZRoCGGMDm51bWVy"
+    "aWNfbWVhbnNflH2UaAdHQAKqqqqqqqtzjAdzY2FsZXJflGgAjA5TdGFuZGFyZFNj"
+    "YWxlcpSTlCmBlH2UKIwFbWVhbl+UjBZudW1weS5fY29yZS5tdWx0aWFycmF5lIwM"
+    "X3JlY29uc3RydWN0lJOUjAVudW1weZSMB25kYXJyYXmUk5RLAIWUQwFilIeUUpQo"
+    "SwFLAYWUaCKMBWR0eXBllJOUjAJmOJSJiIeUUpQoSwOMATyUTk5OSv////9K////"
+    "/0sAdJRiiUMIq6qqqqqqAkCUdJRijAZzY2FsZV+UaCFoJEsAhZRoJoeUUpQoSwFL"
+    "AYWUaC6JQwhCDMSGL0jxP5R0lGJ1YowIZW5jb2Rlcl+UaACMDU9uZUhvdEVuY29k"
+    "ZXKUk5QpgZR9lIwLY2F0ZWdvcmllc1+UXZRdlCiMCTxtaXNzaW5nPpSMAWGUjAFi"
+    "lGVhc2KMCF9maXRfa2V5lEMcdG9rAF7hOO45BilgcYDi1ysbbp4AAAAAAAAAAJRD"
+    "HHRvawBe4TjuOQYpYHGA4tcrG26eAQAAAAAAAACUhpR1Yi4="
+)
 
 
 @pytest.fixture
@@ -37,16 +59,16 @@ def frame():
 class TestColumnIdentity:
     def test_signature_is_stable_until_mutation(self):
         col = Column("x", [1.0, 2.0, 3.0])
-        sig = col.signature
-        assert col.signature == sig
+        before = col.token
+        assert col.token == before
         col.set_values([0], [9.0])
-        assert col.signature != sig
+        assert col.token != before
         assert col.version == 1
 
     def test_share_preserves_identity_take_mints_fresh(self):
         col = Column("x", [1.0, 2.0, 3.0])
-        assert col.copy().signature == col.signature
-        assert col.take([0, 1]).signature != col.signature
+        assert col.copy().token == col.token
+        assert col.take([0, 1]).token != col.token
 
     def test_each_mutation_mints_a_new_token(self):
         col = Column("x", [1.0, 2.0])
@@ -58,28 +80,28 @@ class TestColumnIdentity:
         assert col.version == 3
 
     def test_diverged_copies_never_share_a_signature(self):
-        # Both sides of a share mutate: their signatures must differ from
+        # Both sides of a share mutate: their tokens must differ from
         # each other and from the original (stale-cache hazard).
         base = Column("x", [1.0, 2.0])
         a, b = base.copy(), base.copy()
         a.set_values([0], [10.0])
         b.set_values([0], [20.0])
-        assert len({base.signature, a.signature, b.signature}) == 3
+        assert len({base.token, a.token, b.token}) == 3
 
     def test_set_missing_changes_identity(self):
         col = Column("c", ["a", "b"])
-        sig = col.signature
+        before = col.token
         col.set_missing([1])
-        assert col.signature != sig
+        assert col.token != before
 
     def test_failed_partial_write_still_changes_identity(self):
         # A mid-loop failure may leave cells partially overwritten; the
         # old token must not survive, or caches would serve stale stats.
         col = Column("c", ["a", "b", "a", "b"])
-        sig = col.signature
+        before = col.token
         with pytest.raises(IndexError):
             col.set_values(np.array([0, 99]), ["z", "w"])
-        assert col.signature != sig
+        assert col.token != before
 
 
 class TestMutationIsolation:
@@ -148,8 +170,8 @@ class TestMutationIsolation:
         other = [n for n in polluted.train.column_names if n != feature]
         for state in states:
             for name in other:
-                assert state.frame[name].signature == polluted.train[name].signature
-            assert state.frame[feature].signature != polluted.train[feature].signature
+                assert state.frame[name].token == polluted.train[name].token
+            assert state.frame[feature].token != polluted.train[feature].token
 
 
 class TestPickleRebuildsSharing:
@@ -160,9 +182,9 @@ class TestPickleRebuildsSharing:
         assert clean2 == frame and polluted2 == polluted
         # Sharing is rebuilt: the untouched columns reference one array.
         assert np.shares_memory(clean2["cat"].values, polluted2["cat"].values)
-        assert clean2["cat"].signature == polluted2["cat"].signature
+        assert clean2["cat"].token == polluted2["cat"].token
         # Tokens survive the trip (salted minting makes that safe).
-        assert clean2["cat"].signature == frame["cat"].signature
+        assert clean2["cat"].token == frame["cat"].token
         # And COW still guards the rebuilt share.
         polluted2["cat"].set_values([0], ["z"])
         assert clean2["cat"].values[0] == "a"
@@ -173,11 +195,18 @@ class TestPickleRebuildsSharing:
             state.pop(key, None)
         revived = Column.__new__(Column)
         revived.__setstate__(state)
-        assert isinstance(revived.signature, bytes)
+        assert isinstance(revived.token, bytes)
         assert revived.version == 0
 
+    def test_legacy_preprocessor_with_memo_attributes_unpickles(self, frame):
+        # Fitted on ``frame`` by a release whose preprocessors carried
+        # their own memo switch, counters, and fit key.
+        legacy = pickle.loads(base64.b64decode("".join(_LEGACY_PREPROCESSOR)))
+        assert {"cache", "_fit_key"} <= set(vars(legacy))
+        fresh = TabularPreprocessor(["num", "cat"]).fit(frame)
+        assert np.array_equal(legacy.transform(frame), fresh.transform(frame))
+
     def test_process_backend_roundtrip_matches_serial(self):
-        clear_fit_cache()
         polluted = pollute(
             load_dataset("cmc", n_rows=80), error_types=["missing"], rng=0
         )
@@ -189,8 +218,8 @@ class TestPickleRebuildsSharing:
         )
         serial = run_fit_score_task(task)
         with ProcessBackend(2) as backend:
-            # Same task twice: the second run exercises worker-side cache
-            # hits on the pickled tokens; both must equal the serial run.
+            # Same task twice: a worker that already holds the pickled
+            # tokens must still reproduce the serial run.
             first, second = backend.map(run_fit_score_task, [task, task])
         assert first == serial
         assert second == serial
@@ -238,3 +267,22 @@ class TestSessionCheckpointWithCOW:
         del session
         combined = CleaningSession.load(path).run()
         assert combined == full
+
+    def test_resume_from_checkpoint_with_legacy_column_lineage(self, tmp_path):
+        full = self._make().run()
+        session = self._make()
+        session.step()
+        # Columns pickled by earlier releases carry row-level lineage and
+        # its signature memo; loading must ignore them.
+        dataset = session.state.dataset
+        for frame in (dataset.train, dataset.test):
+            for column in frame:
+                column._delta = (column.token, np.zeros(len(column), dtype=bool))
+                column._delta_sig_cache = (column.token, bytes(20))
+        path = tmp_path / "legacy.ckpt"
+        session.save(path)
+        del session
+        loaded = CleaningSession.load(path)
+        some_column = next(iter(loaded.state.dataset.train))
+        assert "_delta" in vars(some_column)  # the legacy attribute travelled
+        assert loaded.run() == full

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.frame import Column, DataFrame, read_csv, write_csv
 
@@ -111,6 +112,21 @@ class TestLabelArray:
         df = DataFrame({"y": [1.0, np.nan], "x": [0.0, 0.0]})
         with pytest.raises(ValueError, match="missing"):
             df.label_array("y")
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from([-2.5, 0.0, 1.0, 7.0]), min_size=1, max_size=30),
+            st.lists(st.sampled_from(["no", "yes", "maybe", "10", "9"]), min_size=1, max_size=30),
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_row_lookup(self, labels):
+        df = DataFrame({"y": labels, "x": [0.0] * len(labels)})
+        classes = sorted(set(labels), key=str if isinstance(labels[0], str) else None)
+        lookup = {c: i for i, c in enumerate(classes)}
+        y = df.label_array("y")
+        assert y.dtype == int
+        assert y.tolist() == [lookup[v] for v in labels]
 
 
 class TestCsvRoundTrip:

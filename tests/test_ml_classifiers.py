@@ -15,6 +15,7 @@ from repro.ml import (
     f1_score,
     make_classifier,
 )
+from repro.ml.base import one_hot
 from repro.ml.registry import hyperparameter_space
 
 ALL_NAMES = ["svm", "knn", "mlp", "gb", "lir", "lor", "ac_svm"]
@@ -170,3 +171,18 @@ class TestMlpSpecifics:
         X, y = _blobs(n=100)
         model = MLPClassifier(hidden_sizes=(16, 8), max_epochs=30).fit(X, y)
         assert f1_score(y, model.predict(X)) > 0.8
+
+
+class TestOneHot:
+    def test_matches_per_row_loop(self):
+        y = np.random.default_rng(0).integers(-3, 4, size=200)
+        classes = np.unique(y)
+        expected = np.zeros((len(y), len(classes)))
+        for i, label in enumerate(y.tolist()):
+            expected[i, classes.tolist().index(label)] = 1.0
+        assert np.array_equal(one_hot(y, classes), expected)
+
+    @pytest.mark.parametrize("label", [-1, 2, 9])
+    def test_label_outside_classes_raises(self, label):
+        with pytest.raises(KeyError):
+            one_hot(np.array([0, label, 1]), np.array([0, 1, 5]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frame import Column, DataFrame
+from repro.frame import Column, ColumnKind, DataFrame
 from repro.ml import (
     KFold,
     OneHotEncoder,
@@ -244,147 +244,143 @@ class TestTabularModel:
         assert model.features_ == ["z"]
 
 
-class TestFitSignatureCache:
-    """The featurization cache must be a pure memo: identical fitted state
-    with it on or off, hits only for unchanged column content."""
+def _oracle_transform(train, test, numeric, categorical):
+    """The textbook pipeline: impute, ``StandardScaler``, ``OneHotEncoder``."""
 
-    def _frame(self, seed=0):
-        rng = np.random.default_rng(seed)
-        n = 60
-        return DataFrame(
+    def imputed(frame):
+        cols = []
+        for name in numeric:
+            fit_values = train[name].values
+            present = fit_values[np.isfinite(fit_values)]
+            mean = float(present.mean()) if present.size else 0.0
+            values = frame[name].values.copy()
+            values[~np.isfinite(values)] = mean
+            cols.append(values)
+        # Column-major, so each column reduces exactly like a 1-D array.
+        return np.asfortranarray(np.column_stack(cols))
+
+    def filled(frame):
+        out = []
+        for name in categorical:
+            values = frame[name].values.copy()
+            values[frame[name].missing_mask] = "<missing>"
+            out.append(values)
+        return out
+
+    parts = []
+    if numeric:
+        parts.append(StandardScaler().fit(imputed(train)).transform(imputed(test)))
+    if categorical:
+        parts.append(OneHotEncoder().fit(filled(train)).transform(filled(test)))
+    return np.hstack(parts)
+
+
+_NUMERIC_CELLS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+_CATEGORY_CELLS = st.sampled_from(["u", "v", "w", "<missing>", None])
+
+
+@st.composite
+def _split_frames(draw):
+    n_numeric = draw(st.integers(0, 2))
+    n_categorical = draw(st.integers(0 if n_numeric else 1, 2))
+    numeric = [f"x{i}" for i in range(n_numeric)]
+    categorical = [f"c{i}" for i in range(n_categorical)]
+
+    def frame(n_rows, extra_categories):
+        columns = [
+            Column(name, draw(st.lists(_NUMERIC_CELLS, min_size=n_rows, max_size=n_rows)))
+            for name in numeric
+        ]
+        cells = st.one_of(_CATEGORY_CELLS, st.sampled_from(extra_categories))
+        for name in categorical:
+            values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+            columns.append(Column(name, np.array(values, dtype=object), ColumnKind.CATEGORICAL))
+        return DataFrame(columns)
+
+    train = frame(draw(st.integers(1, 25)), ["u"])
+    test = frame(draw(st.integers(1, 25)), ["only-in-test", "u"])
+    return train, test, numeric, categorical
+
+
+class TestTransformOracle:
+    """``TabularPreprocessor.transform`` equals the textbook pipeline —
+    imputed numerics through ``StandardScaler``, ``<missing>``-filled
+    categoricals through ``OneHotEncoder`` — bit for bit."""
+
+    def _assert_matches(self, train, test, numeric, categorical):
+        prep = TabularPreprocessor(numeric + categorical).fit(train)
+        out = prep.transform(test)
+        assert out.shape == (test.n_rows, prep.n_output_features())
+        assert np.array_equal(out, _oracle_transform(train, test, numeric, categorical))
+
+    @given(_split_frames())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, case):
+        self._assert_matches(*case)
+
+    def test_missing_infinite_and_test_only_cells(self):
+        train = DataFrame(
             {
-                "a": rng.normal(size=n),
-                "b": rng.normal(size=n),
-                "c": rng.choice(["u", "v", None], size=n),
+                "x": [1.0, np.nan, np.inf, -np.inf, 5.0],
+                "c": np.array(["a", None, "b", "a", None], dtype=object),
             }
         )
-
-    def test_cached_and_uncached_fits_identical(self):
-        from repro.ml import clear_fit_cache
-
-        clear_fit_cache()
-        frame = self._frame()
-        cached = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        uncached = TabularPreprocessor(["a", "b", "c"], cache=False).fit(frame)
-        assert cached.numeric_means_ == uncached.numeric_means_
-        assert np.array_equal(cached.scaler_.mean_, uncached.scaler_.mean_)
-        assert np.array_equal(cached.scaler_.scale_, uncached.scaler_.scale_)
-        assert cached.encoder_.categories_ == uncached.encoder_.categories_
-        assert np.array_equal(cached.transform(frame), uncached.transform(frame))
-
-    def test_refit_hits_cache_per_column(self):
-        from repro.ml import clear_fit_cache, fit_cache_stats
-
-        clear_fit_cache()
-        frame = self._frame()
-        # All three columns are memoized: with O(1) token signatures the
-        # categorical category set participates too.
-        TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        stats = fit_cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 3
-        assert all(
-            value == 0
-            for key, value in stats.items()
-            if key not in ("hits", "misses")
+        test = DataFrame(
+            {
+                "x": [np.inf, 2.0, np.nan, 0.5],
+                "c": np.array(["z", "b", None, "a"], dtype=object),
+            }
         )
-        TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        assert fit_cache_stats()["hits"] == 3
+        self._assert_matches(train, test, ["x"], ["c"])
+        # The test-only category "z" encodes to an all-zero block row.
+        X = TabularPreprocessor(["c"]).fit(train).transform(test)
+        assert X[0].tolist() == [0.0, 0.0, 0.0]
 
-    def test_polluting_one_column_only_refits_that_column(self):
-        from repro.ml import clear_fit_cache, fit_cache_stats
-
-        clear_fit_cache()
-        frame = self._frame()
-        TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        polluted = frame.copy()
-        polluted["a"].set_missing([0, 1, 2])
-        TabularPreprocessor(["a", "b", "c"]).fit(polluted)
-        stats = fit_cache_stats()
-        # Columns b and c share tokens with the base frame → served from
-        # the cache; only the polluted column a is recomputed.
-        assert stats["hits"] == 2
-        assert stats["misses"] == 4
-
-    def test_per_instance_counters_and_reset(self):
-        from repro.ml import clear_fit_cache, fit_cache_stats
-
-        clear_fit_cache()
-        frame = self._frame()
-        warm = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        second = TabularPreprocessor(["a", "b", "c"])
-        second.fit(frame)
-        # The instance counters see only this preprocessor's lookups,
-        # not the warm-up fit's.
-        assert warm.cache_stats_["misses"] == 3
-        assert second.cache_stats_["hits"] == 3
-        assert all(
-            value == 0
-            for key, value in second.cache_stats_.items()
-            if key != "hits"
+    def test_all_missing_columns(self):
+        train = DataFrame(
+            {
+                "x": [np.nan, np.nan, np.nan],
+                "c": np.array([None, None, None], dtype=object),
+            }
         )
-        # reset=True reads and zeroes the process-wide counters.
-        assert fit_cache_stats(reset=True)["misses"] == 3
-        assert all(value == 0 for value in fit_cache_stats().values())
+        test = DataFrame(
+            {"x": [1.0, np.nan], "c": np.array(["a", None], dtype=object)}
+        )
+        self._assert_matches(train, test, ["x"], ["c"])
 
-    def test_transform_matrix_memoized_for_unchanged_frames(self):
-        from repro.ml import clear_fit_cache
+    def test_literal_missing_value_beside_missing_cells(self):
+        train = DataFrame(
+            {"c": np.array(["<missing>", None, "a", "<missing>"], dtype=object)}
+        )
+        test = DataFrame({"c": np.array([None, "<missing>", "a"], dtype=object)})
+        self._assert_matches(train, test, [], ["c"])
+        # The literal and real missing cells share one indicator column.
+        prep = TabularPreprocessor(["c"]).fit(train)
+        assert prep.encoder_.categories_ == [["<missing>", "a"]]
 
-        clear_fit_cache()
-        frame = self._frame()
-        prep = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        first = prep.transform(frame)
-        assert prep.cache_stats_["transform_misses"] == 1
-        second = prep.transform(frame)
-        assert prep.cache_stats_["transform_hits"] == 1
-        assert np.array_equal(first, second)
-        # Cached matrices must come back as private writable copies.
-        second[0, 0] = 123.0
-        assert prep.transform(frame)[0, 0] != 123.0
+    def test_missing_cells_without_fitted_missing_category_encode_to_zeros(self):
+        train = DataFrame({"c": np.array(["a", "b"], dtype=object)})
+        test = DataFrame({"c": np.array([None, "b"], dtype=object)})
+        self._assert_matches(train, test, [], ["c"])
 
-    def test_transform_memo_misses_after_mutation(self):
-        from repro.ml import clear_fit_cache
-
-        clear_fit_cache()
-        frame = self._frame()
-        prep = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        prep.transform(frame)
+    def test_mutated_column_re_encodes(self):
+        frame = DataFrame(
+            {"c": np.array(["a", "b", "a", "b"], dtype=object), "x": [1.0, 2.0, 3.0, 4.0]}
+        )
+        prep = TabularPreprocessor(["x", "c"]).fit(frame)
+        before = prep.transform(frame)
         mutated = frame.copy()
-        mutated["a"].set_values([0], [99.0])
-        out = prep.transform(mutated)
-        assert prep.cache_stats_["transform_hits"] == 0
-        assert np.array_equal(out, prep._transform_uncached(mutated))
-
-    def test_digest_mode_matches_token_mode_outputs(self):
-        from repro.ml import signature_mode
-
-        frame = self._frame()
-        token_fit = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-        token_X = token_fit.transform(frame)
-        with signature_mode("digest"):
-            digest_fit = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-            digest_X = digest_fit.transform(frame)
-            # The digest baseline caches per-column fits (numeric bytes,
-            # categorical codes+categories) but never memoizes matrices
-            # or blocks.
-            assert digest_fit.cache_stats_["misses"] == 3
-            assert digest_fit.cache_stats_["transform_misses"] == 0
-            assert digest_fit.cache_stats_["block_misses"] == 0
-            refit = TabularPreprocessor(["a", "b", "c"]).fit(frame)
-            assert refit.cache_stats_["hits"] == 3
-        assert token_fit.numeric_means_ == digest_fit.numeric_means_
-        assert token_fit.encoder_.categories_ == digest_fit.encoder_.categories_
-        assert np.array_equal(token_X, digest_X)
-
-    def test_changed_content_is_a_miss_not_a_stale_hit(self):
-        from repro.ml import clear_fit_cache
-
-        clear_fit_cache()
-        frame = self._frame()
-        first = TabularPreprocessor(["a"]).fit(frame)
-        shifted = frame.copy()
-        shifted["a"].set_values(np.arange(10), np.full(10, 99.0))
-        second = TabularPreprocessor(["a"]).fit(shifted)
-        assert first.numeric_means_["a"] != second.numeric_means_["a"]
+        mutated["c"].set_values([0], ["b"])
+        mutated["x"].set_missing([1])
+        after = prep.transform(mutated)
+        assert np.array_equal(before, prep.transform(frame))
+        assert np.array_equal(
+            after, _oracle_transform(frame, mutated, ["x"], ["c"])
+        )
+        assert not np.array_equal(before, after)
 
 
 class TestTabularModelPreprocessorReuse:

@@ -23,6 +23,7 @@ from repro.service import (
     CometService,
     CometTCPServer,
 )
+from repro.session import SessionObserver
 
 _PARAMS = {
     "dataset": "cmc",
@@ -361,7 +362,7 @@ class TestLiveSocketResponsiveness:
     while session A is mid-``run`` on a CleanML sweep, and A's networked
     trace is bit-identical to the in-process path."""
 
-    def test_status_fast_while_cleanml_run_in_flight(self, tcp_server):
+    def test_status_fast_while_cleanml_run_in_flight(self, service, tcp_server):
         sweeps = 4
         with CometService() as isolated:
             isolated.handle(
@@ -376,22 +377,25 @@ class TestLiveSocketResponsiveness:
         with CometClient(tcp_server.port, timeout=300) as client:
             client.create("a", _CLEANML_PARAMS)
             client.create("b", _params())
+            # Hold A inside its first sweep until B's latency is measured,
+            # so "mid-run" never depends on how fast the sweep is.
+            gate = _HoldFirstSweep()
+            service.session("a").add_observer(gate)
             assert client.run("a", max_iterations=sweeps, wait=False) == {
                 "name": "a",
                 "scheduled": True,
             }
-            # Wait until A is demonstrably mid-run.
-            deadline = time.monotonic() + 30
-            while not client.status("a")["running"]:
-                assert time.monotonic() < deadline, "run never started"
-                time.sleep(0.01)
-            latencies = []
-            while client.status("a")["running"] and len(latencies) < 5:
-                started = time.perf_counter()
-                status = client.status("b")
-                latencies.append(time.perf_counter() - started)
-                assert status["iteration"] == 0
-            assert latencies, "run finished before status could be measured"
+            try:
+                assert gate.reached.wait(timeout=120), "run never started"
+                latencies = []
+                for __ in range(5):
+                    started = time.perf_counter()
+                    status = client.status("b")
+                    latencies.append(time.perf_counter() - started)
+                    assert status["iteration"] == 0
+                assert service.scheduler.running("a")
+            finally:
+                gate.release.set()
             assert max(latencies) < 1.0, f"status too slow: {latencies}"
 
             outcome = client.result("a")
@@ -399,6 +403,19 @@ class TestLiveSocketResponsiveness:
             assert json.dumps(outcome["trace"], sort_keys=True) == json.dumps(
                 reference, sort_keys=True
             )
+
+
+class _HoldFirstSweep(SessionObserver):
+    """Blocks the session thread after its first sweep until released."""
+
+    def __init__(self):
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def on_iteration(self, session, records):
+        if not self.reached.is_set():
+            self.reached.set()
+            self.release.wait(timeout=120)
 
 
 class TestHTTPAdapter:

@@ -11,7 +11,7 @@ constructed from the same parameters. The machine's contract:
   shadow's — a resumed session replays lost iterations exactly;
 - verbs against unknown or duplicate names fail with structured errors,
   never by corrupting the registry or the store;
-- squeezing the shared featurization/FD cache to a starvation-level
+- squeezing the shared (FD) cache to a starvation-level
   byte budget mid-run (``cache_pressure``) evicts entries but never
   surfaces an error or changes a single trace byte.
 
