@@ -4,8 +4,9 @@
 * :class:`FeatureImportanceCleaner` (FIR) — Shapley ranking on the dirty
   data, cleaned top-down.
 * :class:`CometLight` (CL) — COMET's Estimator run once; the resulting
-  static ranking drives all subsequent steps (with COMET's revert and
-  fallback behaviour).
+  static ranking drives all subsequent steps (a
+  :class:`~repro.session.CleaningSession`, so revert, buffer replay and
+  fallback are COMET's own).
 * :class:`ActiveClean` (AC) — gradient-based record selection per Krishnan
   et al. (VLDB 2016), adapted to the feature-wise budget accounting.
 * :class:`OracleCleaner` — the step-wise local optimum used as an upper

@@ -34,6 +34,7 @@ import numpy as np
 from repro.baselines.base import BaseCleaningStrategy
 from repro.core.trace import IterationRecord
 from repro.ml.pipeline import TabularModel
+from repro.session.engine import mark_if_clean
 
 __all__ = ["ActiveClean"]
 
@@ -121,7 +122,7 @@ class ActiveClean(BaseCleaningStrategy):
         self._clean_records(batch)
         self._clean_test_records()
         for pair in touched:
-            self.mark_if_clean(pair)
+            mark_if_clean(self.dataset, self._active, pair)
         # ActiveClean's model update: one SGD step on the freshly cleaned
         # batch, with a 1/√t decaying step size.
         X_batch = self._fitted.preprocessor_.transform(self.dataset.train.take(batch))

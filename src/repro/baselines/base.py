@@ -1,9 +1,10 @@
-"""Shared machinery for feature-wise cleaning baselines.
+"""Shared machinery for the pick-and-clean baselines (RR, FIR, AC, Oracle).
 
-Every baseline owns a working copy of the dataset, a budget, a cost model,
-and the same simulated Cleaner COMET uses, and emits the same
+Every such baseline owns a working copy of the dataset, a budget, a cost
+model, and the same simulated Cleaner COMET uses, and emits the same
 :class:`~repro.core.trace.CleaningTrace` so the experiments can compare
-F1-per-budget curves directly.
+F1-per-budget curves directly. CL (:mod:`repro.baselines.comet_light`)
+runs on the session engine instead.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import numpy as np
 
 from repro.cleaning import Budget, CostModel, GroundTruthCleaner, uniform_cost_model
 from repro.core.trace import CleaningTrace, IterationRecord
-from repro.errors.base import ErrorType, make_error
 from repro.errors.prepollution import PollutedDataset
 from repro.ml.base import BaseEstimator
 from repro.ml.pipeline import TabularModel
-from repro.ml.registry import make_classifier
+from repro.session.engine import mark_if_clean, resolve_setup
 
 __all__ = ["BaseCleaningStrategy"]
 
@@ -38,26 +38,12 @@ class BaseCleaningStrategy(abc.ABC):
     ) -> None:
         self.dataset = dataset.copy()
         self._rng = np.random.default_rng(rng)
-        if isinstance(algorithm, str):
-            self.algorithm_name = algorithm
-            self.model = make_classifier(algorithm)
-        else:
-            self.algorithm_name = type(algorithm).__name__
-            self.model = algorithm
-        if not isinstance(error_types, (list, tuple)):
-            error_types = [error_types]
-        self.errors: list[ErrorType] = [
-            make_error(e) if isinstance(e, str) else e for e in error_types
-        ]
+        self.algorithm_name, self.model, self.errors, self._active = resolve_setup(
+            self.dataset, algorithm, error_types
+        )
         self.budget = Budget(budget)
         self.cost_model = (cost_model or uniform_cost_model()).copy()
         self.cleaner = GroundTruthCleaner(step=step, rng=self._rng.integers(2**63))
-        self._active: list[tuple[str, str]] = [
-            (feature, error.name)
-            for feature in self.dataset.feature_names
-            for error in self.errors
-            if error.applies_to(self.dataset.train[feature])
-        ]
         self._iteration = 0
         self._current_f1: float | None = None
 
@@ -99,7 +85,7 @@ class BaseCleaningStrategy(abc.ABC):
         self.budget.charge(cost)
         self.cleaner.clean_step(self.dataset, feature, error)
         f1_after = self.measure_f1(refresh=True)
-        self.mark_if_clean(pair)
+        mark_if_clean(self.dataset, self._active, pair)
         return IterationRecord(
             iteration=self._iteration,
             feature=feature,
@@ -117,16 +103,6 @@ class BaseCleaningStrategy(abc.ABC):
             model = TabularModel(self.model, label=self.dataset.label)
             self._current_f1 = model.fit_score(self.dataset.train, self.dataset.test)
         return self._current_f1
-
-    def mark_if_clean(self, pair: tuple[str, str]) -> None:
-        """Drop the pair from the open candidates once clean."""
-        feature, error = pair
-        if (
-            self.dataset.dirty_train.dirty_count(feature, error) == 0
-            and self.dataset.dirty_test.dirty_count(feature, error) == 0
-            and pair in self._active
-        ):
-            self._active.remove(pair)
 
     def open_candidates(self) -> list[tuple[str, str]]:
         """(feature, error) pairs not yet marked clean."""

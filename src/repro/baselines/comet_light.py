@@ -5,130 +5,80 @@ static ranked candidate list. Every subsequent step cleans the
 highest-ranked candidate that is still open — with COMET's revert-to-buffer
 and fallback behaviour, but without re-estimating. The ranking therefore
 goes stale as the data changes, the effect §5.2 observes on EEG.
+
+CL is a :class:`~repro.session.CleaningSession` that ranks once and then
+walks that ranking; the iteration, cleaning, reverting, accepting and the
+fallback are the engine's. Unlike COMET it always reverts a decrease and
+keeps at most one step per iteration (whatever ``config`` says), and its
+records carry no ``predicted_f1``. Its ranking lives on the instance, not
+in the session state, so a CL run cannot be checkpointed, resumed, or
+asked for recommendations.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.baselines.base import BaseCleaningStrategy
-from repro.cleaning import CleaningBuffer
+from repro.cleaning import CostModel, GroundTruthCleaner
 from repro.core.config import CometConfig
-from repro.core.estimator import CometEstimator
-from repro.core.recommender import CometRecommender
-from repro.core.trace import IterationRecord
+from repro.errors.prepollution import PollutedDataset
+from repro.ml.base import BaseEstimator
+from repro.session.engine import CleaningSession, new_state
 
 __all__ = ["CometLight"]
 
 
-class CometLight(BaseCleaningStrategy):
+class CometLight(CleaningSession):
     """Static one-shot COMET ranking, dynamic cleaning loop."""
 
-    def __init__(self, *args, config: CometConfig | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.config = config or CometConfig(step=self.cleaner.step)
-        self.estimator = CometEstimator(
-            self.model,
-            label=self.dataset.label,
-            config=self.config,
-            rng=self._rng.integers(2**63),
-        )
-        self.recommender = CometRecommender(self.config)
-        self.buffer = CleaningBuffer()
-        self._ranking: list[tuple[str, str]] | None = None
+    #: The one-shot ranking, computed on the first iteration.
+    _ranking: list[tuple[str, str]] | None = None
 
-    def _compute_ranking(self, baseline: float) -> list[tuple[str, str]]:
-        """One COMET estimation pass over all open candidates."""
-        error_by_name = {e.name: e for e in self.errors}
-        predictions = [
-            self.estimator.estimate(
-                self.dataset.train,
-                self.dataset.test,
-                feature,
-                error_by_name[error_name],
-                baseline,
+    def __init__(
+        self,
+        dataset: PollutedDataset,
+        algorithm: str | BaseEstimator = "svm",
+        error_types=("missing",),
+        budget: float = 50.0,
+        cost_model: CostModel | None = None,
+        step: float = 0.01,
+        rng: np.random.Generator | int | None = None,
+        config: CometConfig | None = None,
+    ) -> None:
+        rng = np.random.default_rng(rng)
+        # The Cleaner steps by ``step`` (as for every baseline), the
+        # Estimator by ``config.step``.
+        cleaner = GroundTruthCleaner(step=step, rng=rng.integers(2**63))
+        config = replace(
+            config or CometConfig(step=step), revert_on_decrease=True, batch_size=1
+        )
+        super().__init__(
+            new_state(
+                dataset, algorithm, error_types, budget, cost_model, config, rng,
+                cleaner=cleaner,
             )
-            for feature, error_name in self._active
-        ]
-        scored = self.recommender.rank(predictions, baseline, self.cost_model)
-        ranked = [(c.feature, c.error) for c in scored]
-        # Non-positive candidates go after the scored ones, in stable order.
-        ranked += [pair for pair in self._active if pair not in set(ranked)]
-        return ranked
-
-    def select_pair(self, baseline_f1: float):  # pragma: no cover - unused
-        """Choose the next (feature, error) to clean; ``None`` stops."""
-        raise NotImplementedError("CometLight overrides step() directly")
-
-    def step(self) -> IterationRecord | None:
-        """Run one cleaning iteration; ``None`` when the run is over."""
-        if not self._active or self.budget.exhausted():
-            return None
-        baseline = self.measure_f1()
-        if self._ranking is None:
-            self._ranking = self._compute_ranking(baseline)
-        self._iteration += 1
-        rejected: list[tuple[str, str]] = []
-        for pair in [p for p in self._ranking if p in self._active]:
-            from_buffer = pair in self.buffer
-            if not from_buffer and not self.budget.can_afford(
-                self.cost_model.next_cost(*pair)
-            ):
-                continue
-            cost = self._perform(pair)
-            f1_after = self.measure_f1(refresh=True)
-            self.recommender.record_outcome(*pair, f1_after)
-            if f1_after >= baseline - 1e-12:
-                self.mark_if_clean(pair)
-                return IterationRecord(
-                    iteration=self._iteration,
-                    feature=pair[0],
-                    error=pair[1],
-                    cost=cost,
-                    budget_spent=self.budget.spent,
-                    f1_before=baseline,
-                    f1_after=f1_after,
-                    from_buffer=from_buffer,
-                    rejected=list(rejected),
-                )
-            self.cleaner.revert(self.dataset, self._last_action)
-            self.buffer.put(self._last_action)
-            self._current_f1 = baseline
-            rejected.append(pair)
-        return self._fallback(baseline)
-
-    def _perform(self, pair: tuple[str, str]) -> float:
-        buffered = self.buffer.pop(*pair)
-        if buffered is not None:
-            self.cleaner.apply(self.dataset, buffered)
-            self._last_action = buffered
-            return 0.0
-        cost = self.cost_model.record_step(*pair)
-        self.budget.charge(cost)
-        self._last_action = self.cleaner.clean_step(self.dataset, *pair)
-        return cost
-
-    def _fallback(self, baseline: float) -> IterationRecord | None:
-        affordable = [
-            pair
-            for pair in self._active
-            if pair in self.buffer
-            or self.budget.can_afford(self.cost_model.next_cost(*pair))
-        ]
-        pair = self.recommender.fallback_candidate(affordable)
-        if pair is None:
-            return None
-        cost = self._perform(pair)
-        f1_after = self.measure_f1(refresh=True)
-        self.recommender.record_outcome(*pair, f1_after)
-        self.mark_if_clean(pair)
-        return IterationRecord(
-            iteration=self._iteration,
-            feature=pair[0],
-            error=pair[1],
-            cost=cost,
-            budget_spent=self.budget.spent,
-            f1_before=baseline,
-            f1_after=f1_after,
-            used_fallback=True,
         )
+
+    def _rank(self, baseline: float) -> tuple[list, list]:
+        """The open pairs in one-shot ranking order (no predictions)."""
+        state = self.state
+        if self._ranking is None:
+            scored = self.recommender.rank(
+                self._estimate_candidates(baseline), baseline, state.cost_model
+            )
+            self._ranking = [(c.feature, c.error) for c in scored]
+            # Non-positive candidates go after the scored ones, in stable order.
+            self._ranking += [p for p in state.active if p not in self._ranking]
+        return [], [(p, None) for p in self._ranking if p in state.active]
+
+    def save(self, path, *, meta: dict | None = None) -> None:
+        raise NotImplementedError("CL runs are not checkpointable")
+
+    @classmethod
+    def load(cls, path, **engine) -> "CometLight":
+        raise NotImplementedError("CL runs are not checkpointable")
+
+    def recommend(self, k: int = 1) -> list:
+        raise NotImplementedError("CL cleans in its one-shot order; it recommends nothing")

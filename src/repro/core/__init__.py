@@ -3,7 +3,9 @@
 ``Comet`` orchestrates the three modules of Figure 2 — the Polluter
 (incremental pollution, §3.1), the Estimator (cleaning-impact estimation,
 §3.2), and the Recommender (optimal feature selection, §3.3) — around a
-Cleaner and a cleaning budget.
+Cleaner and a cleaning budget. It is a
+:class:`~repro.session.CleaningSession`; its run state lives in
+``comet.state``.
 """
 
 from repro.core.comet import Comet

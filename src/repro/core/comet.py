@@ -1,41 +1,25 @@
-"""The COMET session façade (Figure 2).
+"""COMET (Figure 2) as one constructor call.
 
-``Comet`` is the stable, single-session public API. Since the session
-protocol redesign it is a thin wrapper over :class:`~repro.session.
-CleaningSession` (the engine) and :class:`~repro.session.SessionState`
-(the serializable state): every attribute the historical monolithic class
-exposed — ``dataset``, ``budget``, ``buffer``, ``trace``, the private
-loop helpers — delegates to the session, so existing code keeps working
-while new code can checkpoint (``save``/``load``), observe, or serve
-sessions through the richer protocol.
-
-One deliberate semantic change rides along: the session owns a *single*
-cumulative trace. ``step()``/``iterate()`` now record into ``trace``
-(which the historical class left ``None`` until ``run()``), and ``run()``
-continues that trace instead of starting a fresh one per call — the
-behavior checkpoint/resume requires. Traces of seeded start-to-finish
-``run()`` calls are unchanged, bit for bit.
+``Comet`` *is* a :class:`~repro.session.CleaningSession` built from the
+paper's parameters; its run state lives in ``comet.state``, and ``run``,
+``step``, ``recommend``, ``save``/``load`` are the engine's.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from repro.cleaning import CostModel
 from repro.core.config import CometConfig
-from repro.core.recommender import ScoredCandidate
-from repro.core.trace import CleaningTrace, IterationRecord
 from repro.errors.prepollution import PollutedDataset
 from repro.ml.base import BaseEstimator
 from repro.runtime import ExecutionBackend
-from repro.session import CleaningSession
+from repro.session.engine import CleaningSession, new_state
 
 __all__ = ["Comet"]
 
 
-class Comet:
+class Comet(CleaningSession):
     """Cost-aware step-by-step cleaning recommendations.
 
     Parameters
@@ -63,11 +47,12 @@ class Comet:
         detect-and-impute pipeline.
     backend:
         Execution backend for the Estimator's E1 sweep: a registry name
-        (``"serial"``, ``"thread"``, ``"process"``) or an
-        :class:`~repro.runtime.ExecutionBackend` instance. Traces are
+        (``"serial"``, ``"thread"``, ``"process"``, ``"distributed"``) or
+        an :class:`~repro.runtime.ExecutionBackend` instance. Traces are
         bit-identical across backends for a fixed ``rng`` (the
         ``repro.runtime`` determinism contract); the backend is purely a
-        throughput knob.
+        throughput knob. :meth:`close` shuts it down, injected instances
+        included.
     jobs:
         Worker count for pooled backends; ``1`` falls back to serial.
     """
@@ -86,36 +71,15 @@ class Comet:
         backend: str | ExecutionBackend = "serial",
         jobs: int = 1,
     ) -> None:
-        self._session = CleaningSession.create(
-            dataset,
-            algorithm=algorithm,
-            error_types=error_types,
-            budget=budget,
-            cost_model=cost_model,
-            config=config,
-            rng=rng,
-            task=task,
-            cleaner=cleaner,
+        super().__init__(
+            new_state(
+                dataset, algorithm, error_types, budget, cost_model, config,
+                rng, task, cleaner,
+            ),
             backend=backend,
             jobs=jobs,
             own_backend=True,
         )
-
-    # ------------------------------------------------------------------ #
-    # the session protocol underneath
-    # ------------------------------------------------------------------ #
-    @property
-    def session(self) -> CleaningSession:
-        """The underlying :class:`~repro.session.CleaningSession` engine."""
-        return self._session
-
-    def save(self, path, *, meta: dict | None = None) -> None:
-        """Checkpoint the session state; resume with :meth:`Comet.load`.
-
-        ``meta`` extends the checkpoint's envelope header (see
-        :meth:`SessionState.save`).
-        """
-        self._session.save(path, meta=meta)
 
     @classmethod
     def load(
@@ -126,267 +90,12 @@ class Comet:
         jobs: int = 1,
         migrate: bool = False,
     ) -> "Comet":
-        """Resume a checkpointed session behind the ``Comet`` façade.
+        """Resume a checkpoint (from ``Comet`` or any ``CleaningSession``).
 
+        Like the constructor, the resumed session owns its backend.
         ``migrate=True`` upgrades old-but-migratable checkpoint versions
         in memory instead of raising ``CheckpointVersionError``.
         """
-        comet = cls.__new__(cls)
-        comet._session = CleaningSession.load(
+        return super().load(
             path, backend=backend, jobs=jobs, own_backend=True, migrate=migrate
         )
-        return comet
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-    def run(self) -> CleaningTrace:
-        """Iterate until the budget is spent or everything is marked clean."""
-        return self._session.run()
-
-    def step(self) -> IterationRecord | None:
-        """Run one COMET iteration (single cleaning); ``None`` when over."""
-        return self._session.step()
-
-    def iterate(self, max_accepts: int | None = None) -> list[IterationRecord]:
-        """One estimation sweep, cleaning up to ``max_accepts`` candidates.
-
-        ``max_accepts`` defaults to ``config.batch_size``; values above 1
-        implement the multi-feature-per-iteration extension (§6): the
-        Polluter/Estimator sweep is paid once and several ranked candidates
-        are cleaned from it.
-        """
-        return self._session.iterate(max_accepts)
-
-    def recommend(self, k: int = 1) -> list[ScoredCandidate]:
-        """Pure recommendation: the top-``k`` scored candidates, no cleaning.
-
-        For human-in-the-loop use: inspect what COMET would clean next
-        (with predicted F1, uncertainty, and cost) without touching data or
-        budget.
-        """
-        return self._session.recommend(k)
-
-    @property
-    def is_finished(self) -> bool:
-        """True once the budget is spent or nothing is left to clean."""
-        return self._session.is_finished
-
-    def close(self) -> None:
-        """Release the execution backend's worker pool (if any).
-
-        Safe to call repeatedly; the session stays usable afterwards
-        (pooled backends restart lazily on the next sweep).
-        """
-        self._session.close()
-
-    def __enter__(self) -> "Comet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def open_candidates(self) -> list[tuple[str, str]]:
-        """(feature, error) pairs the Cleaner has not yet marked clean."""
-        return self._session.open_candidates()
-
-    def measure_baseline(self) -> float:
-        """Fit on the current train split and score the test split."""
-        return self._session.measure_baseline()
-
-    def estimator_measure_baseline(self) -> float:
-        """Deprecated alias for :meth:`measure_baseline`."""
-        warnings.warn(
-            "Comet.estimator_measure_baseline is deprecated; "
-            "use Comet.measure_baseline",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.measure_baseline()
-
-    # ------------------------------------------------------------------ #
-    # historical attribute surface (reads and writes pass through to the
-    # session, so assignments like ``comet.budget = Budget(20)`` keep
-    # working exactly as they did on the monolithic class)
-    # ------------------------------------------------------------------ #
-    @property
-    def config(self) -> CometConfig:
-        """Loop hyperparameters."""
-        return self._session.state.config
-
-    @config.setter
-    def config(self, value: CometConfig) -> None:
-        self._session.state.config = value
-
-    @property
-    def task(self) -> str:
-        """``"classification"`` or ``"regression"``."""
-        return self._session.state.task
-
-    @task.setter
-    def task(self, value: str) -> None:
-        self._session.state.task = value
-
-    @property
-    def dataset(self) -> PollutedDataset:
-        """The session's working dataset copy."""
-        return self._session.state.dataset
-
-    @dataset.setter
-    def dataset(self, value: PollutedDataset) -> None:
-        self._session.state.dataset = value
-
-    @property
-    def algorithm_name(self) -> str:
-        """Registry (or class) name of the ML algorithm."""
-        return self._session.state.algorithm_name
-
-    @algorithm_name.setter
-    def algorithm_name(self, value: str) -> None:
-        self._session.state.algorithm_name = value
-
-    @property
-    def model(self) -> BaseEstimator:
-        """The model instance the session trains."""
-        return self._session.state.model
-
-    @model.setter
-    def model(self, value: BaseEstimator) -> None:
-        self._session.state.model = value
-
-    @property
-    def errors(self) -> list:
-        """Error types under consideration."""
-        return self._session.state.errors
-
-    @errors.setter
-    def errors(self, value: list) -> None:
-        self._session.state.errors = list(value)
-        self._session._error_by_name = {e.name: e for e in self._session.state.errors}
-
-    @property
-    def budget(self):
-        """Cleaning budget ledger."""
-        return self._session.state.budget
-
-    @budget.setter
-    def budget(self, value) -> None:
-        self._session.state.budget = value
-
-    @property
-    def cost_model(self) -> CostModel:
-        """Per-(feature, error) cost functions with step history."""
-        return self._session.state.cost_model
-
-    @cost_model.setter
-    def cost_model(self, value: CostModel) -> None:
-        self._session.state.cost_model = value
-
-    @property
-    def cleaner(self):
-        """The Cleaner performing (and reverting) cleaning steps."""
-        return self._session.state.cleaner
-
-    @cleaner.setter
-    def cleaner(self, value) -> None:
-        self._session.state.cleaner = value
-
-    @property
-    def buffer(self):
-        """Reverted cleaning steps kept for free replay."""
-        return self._session.state.buffer
-
-    @buffer.setter
-    def buffer(self, value) -> None:
-        self._session.state.buffer = value
-
-    @property
-    def recommender(self):
-        """The Recommender (scoring, ranking, fallback memory)."""
-        return self._session.recommender
-
-    @recommender.setter
-    def recommender(self, value) -> None:
-        self._session.recommender = value
-
-    @property
-    def estimator(self):
-        """The Estimator (E1 sweep + E2 prediction)."""
-        return self._session.estimator
-
-    @estimator.setter
-    def estimator(self, value) -> None:
-        self._session.estimator = value
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        """Execution backend of the estimation sweep."""
-        return self._session.backend
-
-    @backend.setter
-    def backend(self, value: ExecutionBackend) -> None:
-        self._session.backend = value
-
-    @property
-    def trace(self) -> CleaningTrace | None:
-        """The trace accumulated so far (``None`` before the first sweep)."""
-        return self._session.state.trace
-
-    @trace.setter
-    def trace(self, value: CleaningTrace | None) -> None:
-        self._session.state.trace = value
-
-    # The private loop surface below is delegated (not just internal):
-    # the behavioral test-suite drives the loop piecewise through it.
-    @property
-    def _active(self) -> list:
-        return self._session.state.active
-
-    @_active.setter
-    def _active(self, value: list) -> None:
-        self._session.state.active = value
-
-    @property
-    def _current_f1(self) -> float | None:
-        return self._session.state.current_f1
-
-    @_current_f1.setter
-    def _current_f1(self, value: float | None) -> None:
-        self._session.state.current_f1 = value
-
-    @property
-    def _iteration(self) -> int:
-        return self._session.state.iteration
-
-    @_iteration.setter
-    def _iteration(self, value: int) -> None:
-        self._session.state.iteration = value
-
-    @property
-    def _last_action(self):
-        return self._session.state.last_action
-
-    @_last_action.setter
-    def _last_action(self, value) -> None:
-        self._session.state.last_action = value
-
-    def _baseline(self) -> float:
-        return self._session._baseline()
-
-    def _estimate_candidates(self, baseline: float):
-        return self._session._estimate_candidates(baseline)
-
-    def _try_candidates(self, ranked, baseline, max_accepts: int = 1):
-        return self._session._try_candidates(ranked, baseline, max_accepts)
-
-    def _fallback(self, predictions, baseline):
-        return self._session._fallback(predictions, baseline)
-
-    def _perform_cleaning(self, feature: str, error: str, prediction) -> float:
-        return self._session._perform_cleaning(feature, error, prediction)
-
-    def _revert_last(self, pair: tuple[str, str]) -> None:
-        self._session._revert_last(pair)
-
-    def _accept(self, pair: tuple[str, str], f1_after: float) -> None:
-        self._session._accept(pair, f1_after)

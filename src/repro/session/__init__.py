@@ -15,9 +15,10 @@ the resumed run's :class:`~repro.core.trace.CleaningTrace` equals the
 uninterrupted run's, across serial and pooled backends — the
 ``repro.runtime`` determinism contract extended across restarts.
 
-:class:`~repro.core.Comet` remains the stable single-session façade over
-this package; :class:`~repro.service.CometService` serves many named
-sessions over one shared backend.
+:class:`~repro.core.Comet` is a ``CleaningSession`` built from the
+paper's parameters, and :class:`~repro.baselines.CometLight` one that
+walks a static ranking; :class:`~repro.service.CometService` serves many
+named sessions over one shared backend.
 """
 
 from repro.session.engine import CleaningSession, SessionObserver

@@ -76,13 +76,108 @@ def _tune_model(
     model.set_params(**search.best_params_)
 
 
+def resolve_setup(
+    dataset: PollutedDataset, algorithm: str | BaseEstimator, error_types
+) -> tuple[str, BaseEstimator, list[ErrorType], list[tuple[str, str]]]:
+    """Resolve the model and error types; list the open candidates.
+
+    Returns ``(algorithm_name, model, errors, active)``. Shared by every
+    session and baseline constructor; draws no random numbers, so callers
+    keep their own RNG draw order.
+    """
+    if isinstance(algorithm, str):
+        algorithm_name = algorithm
+        model = make_classifier(algorithm)
+    else:
+        algorithm_name = type(algorithm).__name__
+        model = algorithm
+    if not isinstance(error_types, (list, tuple)):
+        error_types = [error_types]
+    errors: list[ErrorType] = [
+        make_error(e) if isinstance(e, str) else e for e in error_types
+    ]
+    if not errors:
+        raise ValueError("need at least one error type")
+    # COMET assumes every feature is dirty until the Cleaner marks it
+    # clean (§3.1); candidates are all applicable (feature, error) pairs.
+    active = [
+        (feature, error.name)
+        for feature in dataset.feature_names
+        for error in errors
+        if error.applies_to(dataset.train[feature])
+    ]
+    return algorithm_name, model, errors, active
+
+
+def mark_if_clean(
+    dataset: PollutedDataset, active: list[tuple[str, str]], pair: tuple[str, str]
+) -> None:
+    """Drop ``pair`` from ``active`` once the Cleaner observes no dirt left."""
+    feature, error = pair
+    if (
+        dataset.dirty_train.dirty_count(feature, error) == 0
+        and dataset.dirty_test.dirty_count(feature, error) == 0
+        and pair in active
+    ):
+        active.remove(pair)
+
+
+def new_state(
+    dataset: PollutedDataset,
+    algorithm: str | BaseEstimator = "svm",
+    error_types=("missing",),
+    budget: float = 50.0,
+    cost_model: CostModel | None = None,
+    config: CometConfig | None = None,
+    rng: np.random.Generator | int | None = None,
+    task: str = "classification",
+    cleaner=None,
+) -> SessionState:
+    """The initial state of a fresh session (parameters as in ``Comet``).
+
+    The order of RNG draws is load-bearing — cleaner seed, tuning seed
+    (only when tuning), estimator seed — so every seeded constructor
+    built on this function replays the same traces.
+    """
+    config = config or CometConfig()
+    dataset = dataset.copy()
+    session_rng = np.random.default_rng(rng)
+    algorithm_name, model, errors, active = resolve_setup(
+        dataset, algorithm, error_types
+    )
+    cleaner = cleaner or GroundTruthCleaner(
+        step=config.step, rng=session_rng.integers(2**63)
+    )
+    if config.search_iterations > 0 and isinstance(algorithm, str):
+        _tune_model(
+            model, algorithm_name, dataset, config,
+            seed=session_rng.integers(2**63),
+        )
+    return SessionState(
+        config=config,
+        task=task,
+        algorithm_name=algorithm_name,
+        model=model,
+        errors=errors,
+        dataset=dataset,
+        budget=Budget(budget),
+        cost_model=(cost_model or uniform_cost_model()).copy(),
+        cleaner=cleaner,
+        buffer=CleaningBuffer(),
+        rng=session_rng,
+        estimator_rng=np.random.default_rng(session_rng.integers(2**63)),
+        active=active,
+    )
+
+
 class CleaningSession:
     """Advance a serializable cleaning-session state (the Figure-2 loop).
 
     Construct one of three ways:
 
     - :meth:`create` — start a fresh session from a polluted dataset
-      (the same parameters :class:`~repro.core.Comet` accepts);
+      (the parameters :class:`~repro.core.Comet` accepts — ``Comet`` is
+      this class constructed that way, owning its backend);
     - :meth:`load` — resume a checkpoint written by :meth:`save`;
     - directly, wrapping an existing :class:`SessionState` — e.g. the
       :class:`~repro.service.CometService` wiring many sessions onto one
@@ -135,7 +230,6 @@ class CleaningSession:
         self.recommender = CometRecommender(
             state.config, history=state.recommender_history
         )
-        self._error_by_name = {e.name: e for e in state.errors}
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -158,62 +252,12 @@ class CleaningSession:
         observers=(),
         own_backend: bool | None = None,
     ) -> "CleaningSession":
-        """Start a fresh session (parameters as in :class:`~repro.core.Comet`).
-
-        The order of RNG draws here is load-bearing: it matches the
-        historical ``Comet.__init__`` exactly, so seeded runs through
-        either entry point produce identical traces.
-        """
-        config = config or CometConfig()
-        dataset = dataset.copy()
-        session_rng = np.random.default_rng(rng)
-        if isinstance(algorithm, str):
-            algorithm_name = algorithm
-            model = make_classifier(algorithm)
-        else:
-            algorithm_name = type(algorithm).__name__
-            model = algorithm
-        if not isinstance(error_types, (list, tuple)):
-            error_types = [error_types]
-        errors: list[ErrorType] = [
-            make_error(e) if isinstance(e, str) else e for e in error_types
-        ]
-        if not errors:
-            raise ValueError("need at least one error type")
-        cleaner = cleaner or GroundTruthCleaner(
-            step=config.step, rng=session_rng.integers(2**63)
-        )
-        if config.search_iterations > 0 and isinstance(algorithm, str):
-            _tune_model(
-                model, algorithm_name, dataset, config,
-                seed=session_rng.integers(2**63),
-            )
-        estimator_rng = np.random.default_rng(session_rng.integers(2**63))
-        # COMET assumes every feature is dirty until the Cleaner marks it
-        # clean (§3.1); candidates are all applicable (feature, error) pairs.
-        active = [
-            (feature, error.name)
-            for feature in dataset.feature_names
-            for error in errors
-            if error.applies_to(dataset.train[feature])
-        ]
-        state = SessionState(
-            config=config,
-            task=task,
-            algorithm_name=algorithm_name,
-            model=model,
-            errors=errors,
-            dataset=dataset,
-            budget=Budget(budget),
-            cost_model=(cost_model or uniform_cost_model()).copy(),
-            cleaner=cleaner,
-            buffer=CleaningBuffer(),
-            rng=session_rng,
-            estimator_rng=estimator_rng,
-            active=active,
-        )
-        return cls(
-            state,
+        """Start a fresh session (parameters as in :class:`~repro.core.Comet`)."""
+        return cls._over(
+            new_state(
+                dataset, algorithm, error_types, budget, cost_model, config,
+                rng, task, cleaner,
+            ),
             backend=backend,
             jobs=jobs,
             observers=observers,
@@ -237,13 +281,20 @@ class CleaningSession:
         in memory (see :mod:`repro.store.migrate`) instead of raising
         :class:`~repro.session.CheckpointVersionError`.
         """
-        return cls(
+        return cls._over(
             SessionState.load(path, migrate=migrate),
             backend=backend,
             jobs=jobs,
             observers=observers,
             own_backend=own_backend,
         )
+
+    @classmethod
+    def _over(cls, state: SessionState, **engine) -> "CleaningSession":
+        """A ``cls`` advancing ``state``, whatever ``cls.__init__`` takes."""
+        session = cls.__new__(cls)
+        CleaningSession.__init__(session, state, **engine)
+        return session
 
     def save(self, path, *, meta: dict | None = None) -> None:
         """Checkpoint the session state (resumable at iteration boundaries).
@@ -306,8 +357,7 @@ class CleaningSession:
             max_accepts = state.config.batch_size
         self._ensure_trace()
         baseline = self._baseline()
-        predictions = self._estimate_candidates(baseline)
-        ranked = self.recommender.rank(predictions, baseline, state.cost_model)
+        predictions, ranked = self._rank(baseline)
         state.iteration += 1
         records = self._try_candidates(ranked, baseline, max_accepts)
         if not records:
@@ -374,20 +424,38 @@ class CleaningSession:
         if self.state.trace is None:
             self.state.trace = CleaningTrace(initial_f1=self._baseline())
 
-    def _record(self, record: IterationRecord) -> None:
-        """Append a kept record to the trace, *then* announce it.
+    def _keep(
+        self,
+        pair: tuple[str, str],
+        cost: float,
+        baseline: float,
+        f1_after: float,
+        **details,
+    ) -> IterationRecord:
+        """Accept a cleaning step; append its record to the trace, *then*
+        announce it (``details`` are the record's optional fields).
 
         The trace entry lands before any observer runs, so an observer
         exception (or an observer reading ``session.trace``) can never
         see budget/data mutations that the trace does not yet reflect —
         a checkpoint taken afterwards stays resumable bit-identically.
-        Driving the loop through the private ``_try_candidates`` /
-        ``_fallback`` surface without a trace skips the bookkeeping,
-        matching the historical behavior.
+        Without a trace (the loop driven piecewise) only observers run.
         """
+        self._accept(pair, f1_after)
+        record = IterationRecord(
+            iteration=self.state.iteration,
+            feature=pair[0],
+            error=pair[1],
+            cost=cost,
+            budget_spent=self.state.budget.spent,
+            f1_before=baseline,
+            f1_after=f1_after,
+            **details,
+        )
         if self.state.trace is not None:
             self.state.trace.append(record)
         self._notify("on_accept", record)
+        return record
 
     def _baseline(self) -> float:
         if self.state.current_f1 is None:
@@ -402,8 +470,9 @@ class CleaningSession:
 
     def _estimate_candidates(self, baseline: float) -> list[Prediction]:
         state = self.state
+        error_by_name = {e.name: e for e in state.errors}
         candidates = [
-            (feature, self._error_by_name[error_name])
+            (feature, error_by_name[error_name])
             for feature, error_name in state.active
         ]
         return self.estimator.estimate_many(
@@ -414,10 +483,17 @@ class CleaningSession:
             backend=self.backend,
         )
 
+    def _rank(self, baseline: float) -> tuple[list[Prediction], list]:
+        """Step (B): estimate every open candidate and rank by score; returns
+        the predictions and the ``((feature, error), prediction)`` try order."""
+        predictions = self._estimate_candidates(baseline)
+        ranked = self.recommender.rank(predictions, baseline, self.state.cost_model)
+        return predictions, [((c.feature, c.error), c.prediction) for c in ranked]
+
     def _try_candidates(
-        self, ranked: list[ScoredCandidate], baseline: float, max_accepts: int = 1
+        self, ranked: list, baseline: float, max_accepts: int = 1
     ) -> list[IterationRecord]:
-        """Steps (C) and (D): clean by score, revert on decrease.
+        """Steps (C) and (D): clean in ranked order, revert on decrease.
 
         Accepts up to ``max_accepts`` candidates from the same ranking;
         each accepted cleaning becomes the baseline for the next.
@@ -425,35 +501,26 @@ class CleaningSession:
         state = self.state
         records: list[IterationRecord] = []
         rejected: list[tuple[str, str]] = []
-        for candidate in ranked:
-            pair = (candidate.feature, candidate.error)
+        for pair, prediction in ranked:
             if pair not in state.active:
                 continue  # a previous accept in this sweep finished it
             from_buffer = pair in state.buffer
-            if not from_buffer and not state.budget.can_afford(candidate.cost):
+            if not from_buffer and not state.budget.can_afford(
+                state.cost_model.next_cost(*pair)
+            ):
                 continue
-            cost = self._perform_cleaning(
-                candidate.feature, candidate.error, candidate.prediction
-            )
+            cost = self._perform_cleaning(*pair, prediction)
             f1_after = self.measure_baseline()
-            self.estimator.record_outcome(candidate.prediction, f1_after)
-            self.recommender.record_outcome(candidate.feature, candidate.error, f1_after)
+            if prediction is not None:
+                self.estimator.record_outcome(prediction, f1_after)
+            self.recommender.record_outcome(*pair, f1_after)
             if f1_after >= baseline - 1e-12 or not state.config.revert_on_decrease:
-                self._accept(pair, f1_after)
-                record = IterationRecord(
-                    iteration=state.iteration,
-                    feature=candidate.feature,
-                    error=candidate.error,
-                    cost=cost,
-                    budget_spent=state.budget.spent,
-                    f1_before=baseline,
-                    f1_after=f1_after,
-                    predicted_f1=candidate.prediction.predicted_f1,
+                records.append(self._keep(
+                    pair, cost, baseline, f1_after,
+                    predicted_f1=prediction.predicted_f1 if prediction else None,
                     from_buffer=from_buffer,
                     rejected=list(rejected),
-                )
-                records.append(record)
-                self._record(record)
+                ))
                 if len(records) >= max_accepts:
                     return records
                 baseline = f1_after
@@ -477,29 +544,19 @@ class CleaningSession:
         pair = self.recommender.fallback_candidate(affordable)
         if pair is None:
             return None
-        feature, error_name = pair
         prediction = next(
             (p for p in predictions if (p.feature, p.error) == pair), None
         )
-        cost = self._perform_cleaning(feature, error_name, prediction)
+        cost = self._perform_cleaning(*pair, prediction)
         f1_after = self.measure_baseline()
         if prediction is not None:
             self.estimator.record_outcome(prediction, f1_after)
-        self.recommender.record_outcome(feature, error_name, f1_after)
-        self._accept(pair, f1_after)
-        record = IterationRecord(
-            iteration=state.iteration,
-            feature=feature,
-            error=error_name,
-            cost=cost,
-            budget_spent=state.budget.spent,
-            f1_before=baseline,
-            f1_after=f1_after,
+        self.recommender.record_outcome(*pair, f1_after)
+        return self._keep(
+            pair, cost, baseline, f1_after,
             predicted_f1=prediction.predicted_f1 if prediction else None,
             used_fallback=True,
         )
-        self._record(record)
-        return record
 
     def _perform_cleaning(
         self, feature: str, error: str, prediction: Prediction | None
@@ -529,11 +586,5 @@ class CleaningSession:
         self._notify("on_revert", pair[0], pair[1])
 
     def _accept(self, pair: tuple[str, str], f1_after: float) -> None:
-        state = self.state
-        state.current_f1 = f1_after
-        feature, error = pair
-        train_clean = state.dataset.dirty_train.dirty_count(feature, error) == 0
-        test_clean = state.dataset.dirty_test.dirty_count(feature, error) == 0
-        if train_clean and test_clean and pair in state.active:
-            # The Cleaner observed no (remaining) dirt — marks the pair clean.
-            state.active.remove(pair)
+        self.state.current_f1 = f1_after
+        mark_if_clean(self.state.dataset, self.state.active, pair)

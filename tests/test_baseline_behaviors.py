@@ -61,6 +61,50 @@ class TestCometLightCorners:
         assert strategy.step() is None
 
 
+    def test_not_checkpointable(self, polluted, tmp_path):
+        """The one-shot ranking is not session state, so CL refuses the
+        surfaces that would lose it instead of resuming as another run."""
+        strategy = CometLight(
+            polluted,
+            algorithm="lor",
+            error_types=["missing"],
+            budget=2.0,
+            step=0.03,
+            rng=0,
+            config=CometConfig(step=0.03),
+        )
+        strategy.step()
+        with pytest.raises(NotImplementedError):
+            strategy.save(tmp_path / "cl.ckpt")
+        assert not (tmp_path / "cl.ckpt").exists()
+        with pytest.raises(NotImplementedError):
+            CometLight.load(tmp_path / "cl.ckpt")
+        with pytest.raises(NotImplementedError):
+            strategy.recommend()
+
+    def test_always_reverts_one_step_per_iteration(self):
+        polluted = pollute(
+            load_dataset("cmc", n_rows=160, rng=0), error_types=["missing"], rng=3
+        )
+
+        def run(config):
+            return CometLight(
+                polluted,
+                algorithm="lor",
+                error_types=["missing"],
+                budget=6.0,
+                step=0.03,
+                rng=0,
+                config=config,
+            ).run()
+
+        trace = run(CometConfig(step=0.03))
+        assert any(r.rejected for r in trace.records)  # a decrease was reverted
+        assert all(r.predicted_f1 is None for r in trace.records)
+        permissive = CometConfig(step=0.03, revert_on_decrease=False, batch_size=3)
+        assert run(permissive).to_dict() == trace.to_dict()
+
+
 class TestFirMultiError:
     def test_feature_grouping_spans_error_types(self, polluted):
         strategy = FeatureImportanceCleaner(

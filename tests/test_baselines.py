@@ -57,6 +57,15 @@ class TestCommonBehaviour:
         assert strategy.dataset.dirty_train.total() < before
 
 
+    @pytest.mark.parametrize(
+        "cls",
+        [RandomCleaner, FeatureImportanceCleaner, OracleCleaner, ActiveClean, CometLight],
+    )
+    def test_empty_error_types_rejected(self, cls, polluted):
+        with pytest.raises(ValueError, match="need at least one error type"):
+            cls(polluted, algorithm="lor", error_types=[], budget=6.0, step=0.02, rng=0)
+
+
 class TestRandomCleaner:
     def test_different_seeds_different_orders(self, polluted):
         a = RandomCleaner(polluted, algorithm="lor", error_types=["missing"],

@@ -226,35 +226,35 @@ class TestCleaningBufferReplay:
         pair = ("num", "missing")
         first_cost = comet._perform_cleaning("num", "missing", None)
         assert first_cost > 0.0
-        spent_after_first = comet.budget.spent
-        cleaned_train = comet.dataset.train["num"].copy()
+        spent_after_first = comet.state.budget.spent
+        cleaned_train = comet.state.dataset.train["num"].copy()
         comet._revert_last(pair)
-        assert pair in comet.buffer
-        assert comet.budget.spent == spent_after_first  # revert refunds nothing
+        assert pair in comet.state.buffer
+        assert comet.state.budget.spent == spent_after_first  # revert refunds nothing
         replay_cost = comet._perform_cleaning("num", "missing", None)
         assert replay_cost == 0.0
-        assert comet.budget.spent == spent_after_first  # no double charge
-        assert comet.dataset.train["num"] == cleaned_train
-        assert pair not in comet.buffer  # the buffered step was consumed
+        assert comet.state.budget.spent == spent_after_first  # no double charge
+        assert comet.state.dataset.train["num"] == cleaned_train
+        assert pair not in comet.state.buffer  # the buffered step was consumed
 
     def test_cost_model_step_history_not_advanced_by_replay(self):
         comet = self._session()
         comet._perform_cleaning("num", "missing", None)
-        assert comet.cost_model.steps_done("num", "missing") == 1
+        assert comet.state.cost_model.steps_done("num", "missing") == 1
         comet._revert_last(("num", "missing"))
         comet._perform_cleaning("num", "missing", None)
         # The replay re-applied recorded work; it must not register a new
         # cleaning step against the cost model.
-        assert comet.cost_model.steps_done("num", "missing") == 1
+        assert comet.state.cost_model.steps_done("num", "missing") == 1
 
     def test_revert_replay_accept_cycle(self):
         comet = self._session()
         pair = ("num", "missing")
         baseline = comet._baseline()
         comet._perform_cleaning("num", "missing", None)
-        cleaned_train = comet.dataset.train["num"].copy()
-        dirty_after_clean = comet.dataset.dirty_train.dirty_count("num", "missing")
-        spent = comet.budget.spent
+        cleaned_train = comet.state.dataset.train["num"].copy()
+        dirty_after_clean = comet.state.dataset.dirty_train.dirty_count("num", "missing")
+        spent = comet.state.budget.spent
         comet._revert_last(pair)
         # The revert restores the pre-cleaning state without spoiling the
         # memoized baseline.
@@ -262,8 +262,8 @@ class TestCleaningBufferReplay:
         comet._perform_cleaning("num", "missing", None)
         f1_after = comet.measure_baseline()
         comet._accept(pair, f1_after)
-        assert comet.dataset.train["num"] == cleaned_train
-        assert comet.dataset.dirty_train.dirty_count("num", "missing") == dirty_after_clean
-        assert comet.budget.spent == spent
+        assert comet.state.dataset.train["num"] == cleaned_train
+        assert comet.state.dataset.dirty_train.dirty_count("num", "missing") == dirty_after_clean
+        assert comet.state.budget.spent == spent
         assert comet._baseline() == f1_after
-        assert len(comet.buffer) == 0
+        assert len(comet.state.buffer) == 0

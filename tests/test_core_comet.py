@@ -46,9 +46,9 @@ class TestSessionBasics:
 
     def test_cleaning_actually_removes_dirt(self):
         comet = _session(budget=12.0)
-        before = comet.dataset.dirty_train.total()
+        before = comet.state.dataset.dirty_train.total()
         comet.run()
-        assert comet.dataset.dirty_train.total() < before
+        assert comet.state.dataset.dirty_train.total() < before
 
     def test_step_returns_none_when_budget_exhausted(self):
         comet = _session(budget=2.0)
@@ -84,7 +84,7 @@ class TestCleanTermination:
         )
         trace = comet.run()
         assert comet.open_candidates() == []
-        assert comet.dataset.dirty_train.is_clean()
+        assert comet.state.dataset.dirty_train.is_clean()
         assert trace.total_spent < 500.0
 
     def test_marked_clean_pairs_leave_candidates(self):
@@ -147,7 +147,7 @@ class TestRevertAndBuffer:
         comet = _session(budget=8.0)
         trace = comet.run()
         total_cost_of_kept = sum(r.cost for r in trace.records)
-        assert comet.budget.spent >= total_cost_of_kept - 1e-9
+        assert comet.state.budget.spent >= total_cost_of_kept - 1e-9
 
     def test_revert_ablation_never_rejects(self):
         comet = _session(config=CometConfig(step=0.02, revert_on_decrease=False))
@@ -162,7 +162,7 @@ class TestHyperparameterSearch:
             config=CometConfig(step=0.02, search_iterations=4),
             budget=2.0,
         )
-        assert comet.model.n_neighbors in (3, 5, 7, 9, 11, 15)
+        assert comet.state.model.n_neighbors in (3, 5, 7, 9, 11, 15)
         trace = comet.run()
         assert trace.records
 

@@ -23,21 +23,21 @@ def comet():
 
 class TestBufferReplay:
     def test_perform_cleaning_from_buffer_is_free(self, comet):
-        feature = comet.dataset.feature_names[0]
-        action = comet.cleaner.clean_step(comet.dataset, feature, "missing")
-        comet.cleaner.revert(comet.dataset, action)
-        comet.buffer.put(action)
-        spent_before = comet.budget.spent
+        feature = comet.state.dataset.feature_names[0]
+        action = comet.state.cleaner.clean_step(comet.state.dataset, feature, "missing")
+        comet.state.cleaner.revert(comet.state.dataset, action)
+        comet.state.buffer.put(action)
+        spent_before = comet.state.budget.spent
         cost = comet._perform_cleaning(feature, "missing", None)
         assert cost == 0.0
-        assert comet.budget.spent == spent_before
-        assert (feature, "missing") not in comet.buffer
+        assert comet.state.budget.spent == spent_before
+        assert (feature, "missing") not in comet.state.buffer
 
     def test_perform_cleaning_without_buffer_charges(self, comet):
-        feature = comet.dataset.feature_names[0]
+        feature = comet.state.dataset.feature_names[0]
         cost = comet._perform_cleaning(feature, "missing", None)
         assert cost == 1.0
-        assert comet.budget.spent == 1.0
+        assert comet.state.budget.spent == 1.0
 
 
 class TestFallbackPath:
@@ -49,44 +49,44 @@ class TestFallbackPath:
         assert record.predicted_f1 is None
 
     def test_fallback_with_empty_actives_returns_none(self, comet):
-        comet._active = []
+        comet.state.active = []
         assert comet._fallback([], 0.5) is None
 
     def test_fallback_respects_budget(self, comet):
-        comet.budget.charge(6.0)  # exhaust
+        comet.state.budget.charge(6.0)  # exhaust
         baseline = 0.5
         assert comet._fallback([], baseline) is None
 
 
 class TestBudgetBoundaries:
     def test_iterate_empty_when_exhausted(self, comet):
-        comet.budget.charge(6.0)
+        comet.state.budget.charge(6.0)
         assert comet.iterate() == []
 
     def test_iterate_empty_when_no_candidates(self, comet):
-        comet._active = []
+        comet.state.active = []
         assert comet.iterate() == []
 
     def test_is_finished_transitions(self, comet):
         assert not comet.is_finished
-        comet.budget.charge(6.0)
+        comet.state.budget.charge(6.0)
         assert comet.is_finished
 
 
 class TestCandidateBookkeeping:
     def test_accept_removes_fully_clean_pair(self, comet):
-        feature = comet.dataset.feature_names[0]
+        feature = comet.state.dataset.feature_names[0]
         pair = (feature, "missing")
         # Force-clean every dirty cell of the pair directly.
-        rows_train = comet.dataset.dirty_train.rows(feature, "missing")
-        rows_test = comet.dataset.dirty_test.rows(feature, "missing")
-        comet.dataset.dirty_train.remove(feature, "missing", rows_train)
-        comet.dataset.dirty_test.remove(feature, "missing", rows_test)
+        rows_train = comet.state.dataset.dirty_train.rows(feature, "missing")
+        rows_test = comet.state.dataset.dirty_test.rows(feature, "missing")
+        comet.state.dataset.dirty_train.remove(feature, "missing", rows_train)
+        comet.state.dataset.dirty_test.remove(feature, "missing", rows_test)
         comet._accept(pair, 0.6)
         assert pair not in comet.open_candidates()
 
     def test_accept_keeps_still_dirty_pair(self, comet):
-        feature = comet.dataset.dirty_train.features()[0]
+        feature = comet.state.dataset.dirty_train.features()[0]
         pair = (feature, "missing")
         comet._accept(pair, 0.6)
         assert pair in comet.open_candidates()
@@ -99,7 +99,7 @@ class TestCandidateBookkeeping:
 
 class TestRecommendConsistency:
     def test_recommend_empty_when_clean(self, comet):
-        comet._active = []
+        comet.state.active = []
         assert comet.recommend(k=2) == []
 
     def test_recommend_scores_descending_and_positive_gain(self, comet):
@@ -107,12 +107,3 @@ class TestRecommendConsistency:
         for candidate in comet.recommend(k=5):
             assert candidate.gain > 0.0
             assert candidate.prediction.predicted_f1 > baseline
-
-
-class TestDeprecatedBaselineAlias:
-    def test_alias_warns_and_delegates(self, comet):
-        import pytest as _pytest
-
-        with _pytest.warns(DeprecationWarning, match="measure_baseline"):
-            via_alias = comet.estimator_measure_baseline()
-        assert via_alias == comet.measure_baseline()

@@ -220,7 +220,7 @@ class TestAlgorithmicCleaner:
         )
         trace = comet.run()
         assert trace.records
-        assert comet.dataset.dirty_train.total() < polluted.dirty_train.total()
+        assert comet.state.dataset.dirty_train.total() < polluted.dirty_train.total()
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):

@@ -104,12 +104,12 @@ class TestRecommendApi:
             polluted, algorithm="lor", error_types=["missing"],
             budget=5.0, config=CometConfig(step=0.02), rng=0,
         )
-        dirt_before = comet.dataset.dirty_train.total()
-        spent_before = comet.budget.spent
+        dirt_before = comet.state.dataset.dirty_train.total()
+        spent_before = comet.state.budget.spent
         candidates = comet.recommend(k=3)
         assert len(candidates) <= 3
-        assert comet.dataset.dirty_train.total() == dirt_before
-        assert comet.budget.spent == spent_before
+        assert comet.state.dataset.dirty_train.total() == dirt_before
+        assert comet.state.budget.spent == spent_before
         for first, second in zip(candidates, candidates[1:]):
             assert first.score >= second.score
 

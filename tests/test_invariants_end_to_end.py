@@ -31,8 +31,8 @@ class TestCometRunInvariants:
     def test_spending_covers_kept_records(self, finished_comet):
         comet, trace, __ = finished_comet
         kept = sum(r.cost for r in trace.records)
-        assert comet.budget.spent >= kept - 1e-9
-        assert comet.budget.spent <= comet.budget.total + 1e-9
+        assert comet.state.budget.spent >= kept - 1e-9
+        assert comet.state.budget.spent <= comet.state.budget.total + 1e-9
 
     def test_budget_spent_never_decreases_between_records(self, finished_comet):
         __, trace, ___ = finished_comet
@@ -50,8 +50,8 @@ class TestCometRunInvariants:
 
     def test_dirty_cells_never_increase(self, finished_comet):
         comet, __, polluted = finished_comet
-        assert comet.dataset.dirty_train.total() <= polluted.dirty_train.total()
-        assert comet.dataset.dirty_test.total() <= polluted.dirty_test.total()
+        assert comet.state.dataset.dirty_train.total() <= polluted.dirty_train.total()
+        assert comet.state.dataset.dirty_test.total() <= polluted.dirty_test.total()
 
     def test_all_scores_in_unit_interval(self, finished_comet):
         __, trace, ___ = finished_comet
@@ -64,10 +64,10 @@ class TestCometRunInvariants:
         bookkeeping dirt."""
         comet, __, ___ = finished_comet
         open_pairs = set(comet.open_candidates())
-        for feature in comet.dataset.feature_names:
+        for feature in comet.state.dataset.feature_names:
             for error in ("missing", "noise"):
                 if (feature, error) not in open_pairs:
-                    assert comet.dataset.dirty_train.dirty_count(feature, error) == 0
+                    assert comet.state.dataset.dirty_train.dirty_count(feature, error) == 0
 
 
 class TestCrossMethodInvariants:
@@ -91,7 +91,7 @@ class TestCrossMethodInvariants:
         )
         trace = strategy.run()
         kept = sum(r.cost for r in trace.records)
-        assert strategy.budget.spent >= kept - 1e-9
+        assert strategy.state.budget.spent >= kept - 1e-9
 
 
 class TestReproducibility:

@@ -4,8 +4,7 @@ The headline contract: a session checkpointed mid-run and resumed from
 disk produces a trace *bit-identical* to an uninterrupted run — across
 serial and pooled backends (extending the ``repro.runtime`` determinism
 contract across restarts). Plus: versioned checkpoint envelopes, observer
-hooks, state snapshots, and the ``Comet`` façade staying in sync with
-the session underneath.
+hooks, state snapshots, and ``Comet`` being a session itself.
 """
 
 import pickle
@@ -15,6 +14,8 @@ import pytest
 
 from repro.core import Comet, CometConfig
 from repro.datasets import load_dataset, pollute
+from repro.errors import MissingValues
+from repro.runtime import SerialBackend
 from repro.session import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -87,28 +88,44 @@ class TestSessionBasics:
         assert status["records"] == 1
         assert isinstance(session.state.rng_state, dict)
 
-    def test_comet_attributes_stay_assignable(self, polluted):
-        # The façade keeps the monolithic class's plain-attribute
-        # semantics: assignment writes through to the session state.
-        from repro.cleaning import Budget, CleaningBuffer, paper_cost_model
-        from repro.errors import MissingValues
+    def test_replaced_errors_drive_the_next_sweep(self, polluted):
+        # The sweep resolves error names through ``state.errors`` every
+        # time, so replacing the list on a live session takes effect.
+        class SpyMissing(MissingValues):
+            def __init__(self):
+                self.calls = 0
 
+            def corrupt(self, column, rows, rng):
+                self.calls += 1
+                return super().corrupt(column, rows, rng)
+
+        session = _session(polluted)
+        session.step()
+        spy = SpyMissing()
+        session.state.errors = [spy]
+        session.step()
+        assert spy.calls > 0
+
+    def test_comet_is_a_session(self, polluted):
         comet = Comet(polluted, algorithm="lor", budget=2.0,
                       config=CometConfig(step=0.05), rng=0)
-        comet.budget = Budget(20.0)
-        assert comet.session.state.budget.total == 20.0
-        comet.cost_model = paper_cost_model()
-        assert comet.session.state.cost_model.next_cost("f", "missing") == 2.0
-        comet.buffer = CleaningBuffer()
-        assert len(comet.buffer) == 0
-        comet.errors = [MissingValues()]
-        assert comet.session._error_by_name.keys() == {"missing"}
+        assert isinstance(comet, CleaningSession)
+        assert comet.state.budget.total == 2.0
 
-    def test_comet_exposes_session(self, polluted):
-        comet = Comet(polluted, algorithm="lor", budget=2.0,
-                      config=CometConfig(step=0.05), rng=0)
-        assert isinstance(comet.session, CleaningSession)
-        assert comet.session.state.dataset is comet.dataset
+    def test_comet_closes_injected_backend(self, polluted):
+        class SpyBackend(SerialBackend):
+            shutdowns = 0
+
+            def shutdown(self):
+                self.shutdowns += 1
+
+        injected = SpyBackend()
+        Comet(polluted, algorithm="lor", budget=2.0,
+              config=CometConfig(step=0.05), rng=0, backend=injected).close()
+        assert injected.shutdowns == 1
+        # A plain session leaves an injected backend to its injector.
+        _session(polluted, backend=injected).close()
+        assert injected.shutdowns == 1
 
 
 class TestCheckpointResume:
@@ -154,6 +171,28 @@ class TestCheckpointResume:
         path = tmp_path / "comet.ckpt"
         comet.save(path)
         resumed = Comet.load(path)
+        assert resumed.run() == full
+
+    def test_comet_checkpoint_resumes_as_session(self, polluted, tmp_path):
+        full = _session(polluted).run()
+        comet = Comet(polluted, algorithm="lor", error_types=["missing"],
+                      budget=4.0, config=CometConfig(step=0.05), rng=0)
+        comet.step()
+        path = tmp_path / "comet.ckpt"
+        comet.save(path)
+        resumed = CleaningSession.load(path)
+        assert type(resumed) is CleaningSession
+        assert resumed.run() == full
+
+    def test_session_checkpoint_resumes_as_comet(self, polluted, tmp_path):
+        full = _session(polluted).run()
+        session = _session(polluted)
+        session.step()
+        path = tmp_path / "session.ckpt"
+        session.save(path)
+        resumed = Comet.load(path)
+        assert isinstance(resumed, Comet)
+        assert isinstance(resumed, CleaningSession)
         assert resumed.run() == full
 
     def test_checkpoint_preserves_progress(self, polluted, tmp_path):
