@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one table or figure of the paper at laptop
 scale: smaller row counts and budgets than the original cluster runs, but
-the same workloads, methods, and reporting axes. Each run writes its
-paper-style series to ``benchmarks/results/<name>.txt`` (and prints it),
-so EXPERIMENTS.md can quote the measured numbers.
+the same workloads, methods, and reporting axes. Each run prints its
+paper-style series. With ``REPRO_BENCH_RECORD=1`` it also records them
+under ``benchmarks/results/`` (see :func:`record`); without it a run
+leaves the tracked results untouched.
 """
 
 from __future__ import annotations
@@ -134,10 +135,21 @@ def applicable_errors(dataset: str) -> tuple[str, ...]:
     return ERROR_NAMES
 
 
-def report(name: str, title: str, lines) -> str:
-    """Write a benchmark's series to results/<name>.txt and echo it."""
+def record(filename: str, text: str) -> None:
+    """Write ``text`` to ``results/<filename>`` when ``REPRO_BENCH_RECORD=1``.
+
+    The results are tracked files, many with wall-clock timings, so plain
+    test runs only print and assert; recording is asked for explicitly.
+    """
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / filename).write_text(text)
+
+
+def report(name: str, title: str, lines) -> str:
+    """Echo a benchmark's series and record it as results/<name>.txt."""
     text = f"# {title}\n" + "\n".join(lines) + "\n"
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    record(f"{name}.txt", text)
     print(f"\n{text}")
     return text

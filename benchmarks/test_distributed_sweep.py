@@ -4,8 +4,8 @@ Times the same ``estimate_many`` candidate sweep as
 ``test_runtime_backends.py`` on the serial backend and on a 2-worker
 local-loopback :class:`~repro.runtime.DistributedBackend` (auto-spawned
 ``repro worker`` subprocesses speaking the JSON-lines protocol),
-verifies the predictions are bit-identical, and writes
-``benchmarks/results/BENCH_distributed.json``.
+verifies the predictions are bit-identical, and records
+``benchmarks/results/BENCH_distributed.json`` (``REPRO_BENCH_RECORD=1``).
 
 Two topology-appropriate assertions, matching the acceptance criteria:
 on a host with ≥2 CPUs the 2-worker sweep must be ≥1.5× serial; on a
@@ -24,7 +24,7 @@ import os
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR
+from _helpers import record
 
 from repro.cache import clear_shared_cache
 from repro.core import CometConfig, CometEstimator
@@ -104,10 +104,7 @@ def test_estimator_sweep_distributed(benchmark):
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_distributed.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
+    record("BENCH_distributed.json", json.dumps(results, indent=2) + "\n")
     print(f"\n{json.dumps(results, indent=2)}")
 
     assert results["identical"], "distributed sweep diverged from serial"

@@ -1,7 +1,8 @@
 """Micro-benchmark: vectorized columnar kernels vs the reference kernels.
 
 Times the pollute → detect → repair hot path at 2k and 200k rows under
-both kernel modes and writes ``benchmarks/results/BENCH_kernels.json``.
+both kernel modes and records ``benchmarks/results/BENCH_kernels.json``
+(``REPRO_BENCH_RECORD=1``).
 The equivalence suite (``tests/test_kernels_equivalence.py``) proves the
 two modes bit-identical; this benchmark proves the rewrite is *worth it*:
 the combined per-iteration cost at 200k rows must drop at least 5×.
@@ -23,7 +24,7 @@ import json
 import timeit
 
 import numpy as np
-from _helpers import RESULTS_DIR
+from _helpers import record
 
 from repro.detect import (
     CategoricalShiftDetector,
@@ -164,10 +165,7 @@ def test_kernels(benchmark):
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_kernels.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
+    record("BENCH_kernels.json", json.dumps(results, indent=2) + "\n")
     print(f"\n{json.dumps(results, indent=2)}")
 
     # The acceptance bar: one combined pollute+detect+repair iteration

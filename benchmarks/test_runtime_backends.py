@@ -3,9 +3,9 @@
 Times the exact hot path the execution engine parallelizes — a full
 ``estimate_many`` candidate sweep — on the serial and thread backends
 (plus the process backend when the host has ≥2 CPUs), verifies the
-results are bit-identical, and writes the wall-clock numbers to
-``benchmarks/results/BENCH_estimator_sweep.json`` so runtime regressions
-are visible across PRs.
+results are bit-identical, and records the wall-clock numbers in
+``benchmarks/results/BENCH_estimator_sweep.json`` (``REPRO_BENCH_RECORD=1``)
+so runtime regressions are visible across PRs.
 """
 
 import json
@@ -13,7 +13,7 @@ import os
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR
+from _helpers import record
 
 from repro.core import CometConfig, CometEstimator
 from repro.datasets import load_dataset, pollute
@@ -93,10 +93,7 @@ def test_estimator_sweep_backends(benchmark):
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_estimator_sweep.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
+    record("BENCH_estimator_sweep.json", json.dumps(results, indent=2) + "\n")
     print(f"\n{json.dumps(results, indent=2)}")
 
     assert results["identical"], "backends disagreed on the sweep results"

@@ -1,7 +1,8 @@
 """Micro-benchmark: the networked service's control-plane latency.
 
 Measures what the transport layer adds on top of the in-process verbs,
-written to ``benchmarks/results/BENCH_service_latency.json``:
+recorded in ``benchmarks/results/BENCH_service_latency.json``
+(``REPRO_BENCH_RECORD=1``):
 
 1. *``status`` round-trip over TCP* — p50/p95 of a cheap verb through
    the full socket → frame → dispatch → frame path. This is the verb
@@ -26,7 +27,7 @@ import subprocess
 import threading
 import time
 
-from _helpers import RESULTS_DIR
+from _helpers import record
 
 from repro.security import TransportSecurity
 from repro.service import CometClient, CometService, CometTCPServer
@@ -161,9 +162,7 @@ def test_service_latency_benchmark():
 
         out["status_roundtrip_secured"] = _secured_roundtrip(service)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_service_latency.json"
-    path.write_text(json.dumps(out, indent=2) + "\n")
+    record("BENCH_service_latency.json", json.dumps(out, indent=2) + "\n")
     print(json.dumps(out, indent=2))
 
     # Loose sanity floors (CI boxes are noisy; these catch regressions of

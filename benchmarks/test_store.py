@@ -1,7 +1,7 @@
 """Micro-benchmark: what session durability costs.
 
 Measures the two prices of the ``repro.store`` write-behind design,
-written to ``benchmarks/results/BENCH_store.json``:
+recorded in ``benchmarks/results/BENCH_store.json`` (``REPRO_BENCH_RECORD=1``):
 
 1. *Write-behind overhead per iteration* — the same session stepped to
    completion bare, with a write-behind store snapshotting every
@@ -19,7 +19,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from _helpers import RESULTS_DIR
+from _helpers import record
 
 from repro.experiments import Configuration, build_polluted
 from repro.session import CleaningSession
@@ -110,9 +110,7 @@ def test_store_benchmark():
             assert state.iteration == iterations
         out["cold_rehydrate_s"] = {"best": min(samples), "mean": sum(samples) / len(samples)}
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_store.json"
-    path.write_text(json.dumps(out, indent=2) + "\n")
+    record("BENCH_store.json", json.dumps(out, indent=2) + "\n")
     print(json.dumps(out, indent=2))
 
     # Loose sanity floors (kind, not degree): the write-behind snapshot

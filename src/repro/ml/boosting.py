@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X, check_X_y
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, _check_X_target, _presort
 
 __all__ = ["GradientBoostingClassifier", "GradientBoostingRegressor"]
 
@@ -28,22 +28,17 @@ class GradientBoostingRegressor(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
         """Fit on the given training data and return ``self``."""
-        X = check_X(X)
-        y = np.asarray(y, dtype=float)
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = _check_X_target(X, y)
         self.base_score_ = float(y.mean())
         residual = y - self.base_score_
+        order = _presort(X)
         self.trees_: list[DecisionTreeRegressor] = []
         for __ in range(self.n_estimators):
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
             )
-            tree.fit(X, residual)
-            update = tree.predict(X)
-            residual -= self.learning_rate * update
+            leaf = tree._fit_sorted(X, residual, order)
+            residual -= self.learning_rate * tree.value_[leaf]
             self.trees_.append(tree)
         return self
 
@@ -105,12 +100,18 @@ class GradientBoostingClassifier(BaseEstimator):
             if len(self.classes_) == 2
             else [np.where(y == cls, 1.0, 0.0) for cls in self.classes_]
         )
+        # Without row sampling every stage fits on all of X: sort it once.
+        order = _presort(X) if self.subsample == 1.0 else None
         for target in binary_targets:
-            self.ensembles_.append(self._fit_binary(X, target, rng))
+            self.ensembles_.append(self._fit_binary(X, target, rng, order))
         return self
 
     def _fit_binary(
-        self, X: np.ndarray, target: np.ndarray, rng: np.random.Generator
+        self,
+        X: np.ndarray,
+        target: np.ndarray,
+        rng: np.random.Generator,
+        order: np.ndarray | None,
     ) -> tuple[float, list[DecisionTreeRegressor]]:
         pos_rate = float(np.clip(target.mean(), 1e-6, 1.0 - 1e-6))
         base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
@@ -120,16 +121,17 @@ class GradientBoostingClassifier(BaseEstimator):
         for __ in range(self.n_estimators):
             prob = _sigmoid(raw)
             residual = target - prob
-            if self.subsample < 1.0:
-                size = max(2 * self.min_samples_leaf, int(round(n * self.subsample)))
-                idx = rng.choice(n, size=min(size, n), replace=False)
-            else:
-                idx = np.arange(n)
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
             )
-            tree.fit(X[idx], residual[idx])
-            raw += self.learning_rate * tree.predict(X)
+            if order is None:
+                size = max(2 * self.min_samples_leaf, int(round(n * self.subsample)))
+                idx = rng.choice(n, size=min(size, n), replace=False)
+                tree.fit(X[idx], residual[idx])
+                raw += self.learning_rate * tree.predict(X)
+            else:
+                leaf = tree._fit_sorted(X, residual, order)
+                raw += self.learning_rate * tree.value_[leaf]
             trees.append(tree)
         return base_score, trees
 

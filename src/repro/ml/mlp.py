@@ -3,6 +3,8 @@ output, Adam optimizer)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X, check_X_y, one_hot
@@ -58,15 +60,23 @@ class MLPClassifier(BaseEstimator):
         n, d = X.shape
         k = len(self.classes_)
         sizes = [d, *list(self.hidden_sizes), k]
-        self.weights_ = [
-            rng.normal(0.0, np.sqrt(2.0 / sizes[i]), size=(sizes[i], sizes[i + 1]))
-            for i in range(len(sizes) - 1)
-        ]
-        self.biases_ = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        n_layers = len(sizes) - 1
+        shapes = [(sizes[i], sizes[i + 1]) for i in range(n_layers)]
+        shapes += [(sizes[i + 1],) for i in range(n_layers)]
+        # ``weights_`` then ``biases_`` are views into one flat parameter
+        # vector (the slot order of ``_backprop``'s gradients), so an Adam
+        # step is one elementwise update over all of it.
+        counts = [math.prod(shape) for shape in shapes]
+        params = np.zeros(sum(counts))
+        slots = np.split(params, np.cumsum(counts)[:-1])
+        slots = [slot.reshape(shape) for slot, shape in zip(slots, shapes)]
+        self.weights_, self.biases_ = slots[:n_layers], slots[n_layers:]
+        for W in self.weights_:
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / W.shape[0]), size=W.shape)
         Y = one_hot(y, self.classes_)
 
-        m = [np.zeros_like(w) for w in self.weights_] + [np.zeros_like(b) for b in self.biases_]
-        v = [np.zeros_like(w) for w in self.weights_] + [np.zeros_like(b) for b in self.biases_]
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
         batch = min(self.batch_size, n)
@@ -80,16 +90,14 @@ class MLPClassifier(BaseEstimator):
                 loss, grads = self._backprop(X[idx], Y[idx])
                 epoch_loss += loss * len(idx)
                 step += 1
-                for slot, grad in enumerate(grads):
-                    m[slot] = beta1 * m[slot] + (1 - beta1) * grad
-                    v[slot] = beta2 * v[slot] + (1 - beta2) * grad**2
-                    m_hat = m[slot] / (1 - beta1**step)
-                    v_hat = v[slot] / (1 - beta2**step)
-                    update = self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-                    if slot < len(self.weights_):
-                        self.weights_[slot] -= update
-                    else:
-                        self.biases_[slot - len(self.weights_)] -= update
+                grad = np.concatenate([g.ravel() for g in grads])
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad**2
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             epoch_loss /= n
             if epoch_loss < best_loss - self.tol:
                 best_loss = epoch_loss

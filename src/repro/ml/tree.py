@@ -39,21 +39,8 @@ class DecisionTreeRegressor(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         """Fit on the given training data and return ``self``."""
-        X = check_X(X)
-        y = np.asarray(y, dtype=float)
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        self.n_features_in_ = X.shape[1]
-        nodes: list[list] = []
-        self._build(X, y, np.arange(len(X)), 0, nodes)
-        feature, threshold, left, right, value = zip(*nodes)
-        self.feature_ = np.array(feature, dtype=np.intp)
-        self.threshold_ = np.array(threshold, dtype=float)
-        self.left_ = np.array(left, dtype=np.intp)
-        self.right_ = np.array(right, dtype=np.intp)
-        self.value_ = np.array(value, dtype=float)
+        X, y = _check_X_target(X, y)
+        self._fit_sorted(X, y, _presort(X))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -80,61 +67,111 @@ class DecisionTreeRegressor(BaseEstimator):
         return int(np.count_nonzero(self.feature_ < 0))
 
     # ------------------------------------------------------------------ #
-    def _build(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, nodes: list
-    ) -> int:
-        node_id = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, float(y[idx].mean())])
-        if depth >= self.max_depth or len(idx) < self.min_samples_split:
-            return node_id
-        split = self._best_split(X, y, idx)
-        if split is None:
-            return node_id
-        feature, threshold = split
-        mask = X[idx, feature] <= threshold
-        left_id = self._build(X, y, idx[mask], depth + 1, nodes)
-        right_id = self._build(X, y, idx[~mask], depth + 1, nodes)
-        nodes[node_id][:4] = [feature, threshold, left_id, right_id]
-        return node_id
+    def _fit_sorted(self, X: np.ndarray, y: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """Fit on validated ``X`` and ``y`` given ``order = _presort(X)``.
+
+        Each node holds its rows in ascending order (``idx``) and, per
+        feature, stably sorted by that feature (``order``, F × n). A
+        child's ``order`` is its parent's filtered by the split mask: a
+        stable filter of a stable sort is the subset's stable sort, so no
+        node below the root sorts. Returns the leaf of every training row,
+        the one ``predict(X)`` reaches: the partition makes the same
+        ``<=`` comparisons.
+        """
+        n_rows, n_features = X.shape
+        self.n_features_in_ = n_features
+        XT = np.ascontiguousarray(X.T)
+        values = XT.ravel()
+        offsets = np.arange(n_features)[:, None] * n_rows  # row ids -> ids into values
+        nodes: list[list] = []
+        leaf = np.empty(n_rows, dtype=np.intp)
+        # Grown in preorder: a left child, popped first, gets the id after
+        # its parent's; a right child learns its id once the left subtree
+        # is done, and writes it into its parent (``right_of``).
+        stack = [(np.arange(n_rows), order, 0, -1)]
+        while stack:
+            idx, order, depth, right_of = stack.pop()
+            node_id = len(nodes)
+            if right_of >= 0:
+                nodes[right_of][3] = node_id
+            n = len(idx)
+            y_node = y[idx]
+            total = y_node.sum()  # total / n is y_node.mean(), byte for byte
+            nodes.append([-1, 0.0, -1, -1, float(total / n)])
+            split = None
+            if depth < self.max_depth and n >= self.min_samples_split:
+                split = self._best_split(values.take(order + offsets), y[order], y_node, total)
+            if split is None:
+                leaf[idx] = node_id
+                continue
+            feature, threshold = split
+            nodes[node_id][:3] = [feature, threshold, node_id + 1]
+            goes_left = XT[feature] <= threshold
+            mask = goes_left[idx]
+            in_left = goes_left.take(order).ravel()
+            rows = order.ravel()
+            right_order = rows.compress(~in_left).reshape(n_features, -1)
+            stack.append((idx[~mask], right_order, depth + 1, node_id))
+            left_order = rows.compress(in_left).reshape(n_features, -1)
+            stack.append((idx[mask], left_order, depth + 1, -1))
+        feature, threshold, left, right, value = zip(*nodes)
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold, dtype=float)
+        self.left_ = np.array(left, dtype=np.intp)
+        self.right_ = np.array(right, dtype=np.intp)
+        self.value_ = np.array(value, dtype=float)
+        return leaf
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray
+        self, v_sorted: np.ndarray, y_sorted: np.ndarray, y_node: np.ndarray, total: float
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) over every feature in one 2-D pass.
 
-        Row ``p - 1`` of the gain matrix scores putting the ``p`` smallest
-        values of a column on the left. A stable sort, a sequential
-        ``cumsum`` and first-maximum ``argmax`` (within a column, then
-        across columns) pick the same split, bit for bit, as scanning the
-        features one at a time in index order.
+        Row ``f`` of ``v_sorted``/``y_sorted`` holds the node's values of
+        feature ``f`` ascending and the targets in the same order. Split
+        ``j`` puts the ``j + 1`` smallest on the left. Gains are scored
+        only where a split can fall: between distinct consecutive values,
+        leaving at least ``min_samples_leaf`` rows on each side. Read in
+        (feature, position) order, the first maximum is the split that
+        scanning the features one at a time, in index order, keeps.
         """
-        n, n_features = len(idx), X.shape[1]
-        if n < 2 or n_features == 0:
+        n = len(y_node)
+        min_leaf = max(self.min_samples_leaf, 1)
+        lo, hi = min_leaf - 1, n - min_leaf
+        if hi <= lo:
             return None
-        X_node = X[idx]
-        y_node = y[idx]
-        total_sum = y_node.sum()
-        base_sse = np.sum(y_node**2) - total_sum**2 / n
-        order = np.argsort(X_node, axis=0, kind="stable")
-        v_sorted = np.take_along_axis(X_node, order, axis=0)
-        prefix = np.cumsum(y_node[order], axis=0)
-        positions = np.arange(1.0, n)[:, None]  # left part size
-        left_sum = prefix[:-1]
-        right_sum = total_sum - left_sum
-        gain = left_sum**2 / positions + right_sum**2 / (n - positions) - total_sum**2 / n
-        # Splits fall between distinct consecutive values and leave at
-        # least ``min_samples_leaf`` rows on each side.
-        min_leaf = self.min_samples_leaf
-        valid = (
-            (v_sorted[1:] != v_sorted[:-1]) & (positions >= min_leaf) & (positions <= n - min_leaf)
-        )
-        gain[~valid] = -np.inf
-        rows = np.argmax(gain, axis=0)
-        column_best = gain[rows, np.arange(n_features)]
-        feature = int(np.argmax(column_best))
-        best_gain = column_best[feature]
+        valid = np.zeros(v_sorted.shape, dtype=bool)
+        valid[:, lo:hi] = v_sorted[:, lo + 1 : hi + 1] != v_sorted[:, lo:hi]
+        at = np.flatnonzero(valid)  # feature * n + j, in (feature, position) order
+        if at.size == 0:
+            return None
+        left_sum = np.cumsum(y_sorted, axis=1).take(at)
+        positions = (at % n + 1).astype(float)  # left part size
+        right_sum = total - left_sum
+        gain = left_sum**2 / positions + right_sum**2 / (n - positions) - total**2 / n
+        best = int(np.argmax(gain))
+        best_gain = gain[best]
+        base_sse = np.sum(y_node**2) - total**2 / n
         if best_gain > 1e-12 and best_gain > 1e-12 * max(1.0, base_sse):
-            pos = rows[feature] + 1
-            threshold = 0.5 * (v_sorted[pos - 1, feature] + v_sorted[pos, feature])
+            feature, j = divmod(int(at[best]), n)
+            threshold = 0.5 * (v_sorted[feature, j] + v_sorted[feature, j + 1])
             return feature, float(threshold)
         return None
+
+
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Row ids stably sorted by each feature, one row per feature (F × n)."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _check_X_target(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a feature matrix and a finite float target together."""
+    X = check_X(X)
+    y = np.asarray(y, dtype=float)
+    if len(X) != len(y):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+    if len(X) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.isfinite(y).all():
+        raise ValueError("y contains NaN or infinity")
+    return X, y

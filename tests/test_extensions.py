@@ -146,6 +146,13 @@ class TestRegressionSubstrate:
         model = GradientBoostingRegressor(n_estimators=80).fit(X[:200], y[:200])
         assert r2_score(y[200:], model.predict(X[200:])) > 0.7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gb_regressor_rejects_non_finite_target(self, bad):
+        y = np.arange(6, dtype=float)
+        y[4] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            GradientBoostingRegressor(n_estimators=3).fit(np.arange(12.0).reshape(6, 2), y)
+
     def test_tabular_model_regression(self):
         spec = SyntheticSpec(n_rows=300, n_numeric=3, n_categorical=1)
         frame = synthesize_regression(spec, rng=0)

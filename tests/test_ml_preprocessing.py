@@ -211,6 +211,13 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTreeRegressor().fit(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises(self, bad):
+        y = np.arange(6, dtype=float)
+        y[2] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            DecisionTreeRegressor().fit(np.arange(12.0).reshape(6, 2), y)
+
 
 class TestTabularModel:
     def test_fit_score_end_to_end(self):

@@ -6,6 +6,12 @@ a node list that ``_reference_predict`` walks row by row. The library tree
 must reproduce its ``(feature, threshold, left, right, value)`` arrays and
 its predictions byte for byte, including on tied values, tied gains,
 constant columns and targets, and the smallest nodes.
+
+``_reference_boosting`` is the original stage loop on top of it: every
+stage grows a reference tree on its own (sorting at every node) and
+updates the training scores by walking the training rows through it. The
+library's boosting, which sorts once per fit and reads each training
+row's leaf, must give the same scores and probabilities byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -161,6 +168,19 @@ def test_boosting_sized_trees_match_loop_oracle(seed):
     _assert_same_tree(X, y, X[::-1], max_depth=3, min_samples_leaf=1, min_samples_split=2)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_tied_rows_are_summed_in_row_order(seed):
+    # Targets that cancel make a prefix sum depend on the order of the
+    # tied rows before it: 1e16 + 1 - 1e16 is 0, 1e16 - 1e16 + 1 is 1.
+    # Every node must see its tied rows in ascending row order, as a
+    # stable sort of the node's own rows gives them.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 25))
+    X = rng.integers(0, 3, size=(n, 3)).astype(float)
+    y = rng.choice([1e16, -1e16, 1.0, 3.0], size=n)
+    _assert_same_tree(X, y, X[::-1], max_depth=4, min_samples_leaf=1, min_samples_split=2)
+
+
 def test_single_row_with_min_samples_split_one_is_a_leaf():
     tree = _assert_same_tree(
         np.array([[1.0, 2.0]]),
@@ -185,3 +205,105 @@ def test_predict_rejects_a_different_feature_count():
     for width in (2, 4):
         with pytest.raises(ValueError, match="features"):
             tree.predict(np.zeros((5, width)))
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+def _reference_boosting(X, y, n_estimators, learning_rate, max_depth, subsample, random_state):
+    """Per-class ``(base_score, [node list per stage])`` of the original loop."""
+    classes = np.unique(y)
+    rng = np.random.default_rng(random_state)
+    targets = (
+        [np.where(y == classes[1], 1.0, 0.0)]
+        if len(classes) == 2
+        else [np.where(y == cls, 1.0, 0.0) for cls in classes]
+    )
+    n = len(X)
+    ensembles = []
+    for target in targets:
+        pos_rate = float(np.clip(target.mean(), 1e-6, 1.0 - 1e-6))
+        base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
+        raw = np.full(n, base_score)
+        stages = []
+        for __ in range(n_estimators):
+            residual = target - _sigmoid(raw)
+            if subsample < 1.0:
+                size = max(2, int(round(n * subsample)))
+                idx = rng.choice(n, size=min(size, n), replace=False)
+            else:
+                idx = np.arange(n)
+            nodes = _reference_tree(X[idx], residual[idx], max_depth, 1, 2)
+            raw += learning_rate * _reference_predict(nodes, X)
+            stages.append(nodes)
+        ensembles.append((base_score, stages))
+    return ensembles
+
+
+def _reference_scores(ensembles, learning_rate, X):
+    scores = np.empty((len(X), len(ensembles)))
+    for j, (base_score, stages) in enumerate(ensembles):
+        raw = np.full(len(X), base_score)
+        for nodes in stages:
+            raw += learning_rate * _reference_predict(nodes, X)
+        scores[:, j] = raw
+    return scores
+
+
+def _reference_proba(scores):
+    if scores.shape[1] == 1:
+        p1 = _sigmoid(scores[:, 0])
+        return np.column_stack([1.0 - p1, p1])
+    probs = _sigmoid(scores)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _boosting_frame(seed, n=90):
+    # One-hot-like binary columns (many ties) beside scaled numerics.
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [rng.normal(size=(n, 3)), rng.integers(0, 2, size=(n, 5)).astype(float)]
+    )
+    X_test = np.column_stack(
+        [rng.normal(size=(40, 3)), rng.integers(0, 2, size=(40, 5)).astype(float)]
+    )
+    return rng, X, X_test
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+@pytest.mark.parametrize("seed", range(3))
+def test_boosting_classifier_matches_stage_loop_oracle(n_classes, subsample, seed):
+    rng, X, X_test = _boosting_frame(seed)
+    y = (X[:, 0] + X[:, 3] + rng.normal(scale=0.7, size=len(X)) > 0.5).astype(int)
+    if n_classes == 3:
+        y = y + (X[:, 1] > 0.6)
+    params = dict(n_estimators=12, learning_rate=0.3, max_depth=3, subsample=subsample)
+    model = GradientBoostingClassifier(**params, random_state=seed).fit(X, y)
+    ensembles = _reference_boosting(X, y, **params, random_state=seed)
+    assert [base for base, __ in model.ensembles_] == [base for base, __ in ensembles]
+    for rows in (X, X_test):
+        scores = _reference_scores(ensembles, params["learning_rate"], rows)
+        assert model.decision_function(rows).tobytes() == scores.tobytes()
+        assert model.predict_proba(rows).tobytes() == _reference_proba(scores).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_boosting_regressor_matches_stage_loop_oracle(seed):
+    rng, X, X_test = _boosting_frame(seed)
+    y = np.sin(X[:, 0]) + X[:, 4] - 0.5 * X[:, 5] + rng.normal(scale=0.1, size=len(X))
+    learning_rate = 0.2
+    model = GradientBoostingRegressor(n_estimators=12, learning_rate=learning_rate).fit(X, y)
+    base_score = float(y.mean())
+    residual = y - base_score
+    stages = []
+    for __ in range(12):
+        nodes = _reference_tree(X, residual, 3, 1, 2)
+        residual -= learning_rate * _reference_predict(nodes, X)
+        stages.append(nodes)
+    for rows in (X, X_test):
+        expected = np.full(len(rows), base_score)
+        for nodes in stages:
+            expected += learning_rate * _reference_predict(nodes, rows)
+        assert model.predict(rows).tobytes() == expected.tobytes()
