@@ -10,6 +10,14 @@ copy-on-write. Each content state carries a process-unique identity
 :mod:`repro.detect.fd`) can decide "same content as last time?" in O(1)
 instead of re-digesting the bytes.
 
+The integer-codes cache is keyed on the token, so a mutation cannot
+leave stale codes behind. A categorical write whose cells all name
+existing string categories (or are missing) *carries* the codes to the
+new token instead of dropping them: the written cells are looked up in
+the category table and categories that no longer occur are compacted
+out, which equals a from-scratch rebuild. Any other write drops the
+cache and the next :meth:`Column.codes` call rebuilds it.
+
 Token safety rules, which together make ``token == token`` imply
 "identical content" everywhere a token can travel:
 
@@ -74,8 +82,10 @@ class Column:
 
     Categorical columns additionally expose :meth:`codes` — a cached
     integer encoding of the values used by the vectorized cleaning
-    kernels — invalidated automatically through the ``(token, version)``
-    identity, so it is computed at most once per content state.
+    kernels and the preprocessor — keyed on the ``(token, version)``
+    identity and carried through writes that add no new category (see
+    the module docstring), so it is sorted from scratch at most once per
+    content state and usually once per column lineage.
 
     Numeric columns store ``float64`` values; missing cells additionally hold
     ``nan`` so that downstream numeric code never reads a stale value.
@@ -141,8 +151,9 @@ class Column:
         return bool(np.array_equal(self._values[present], other._values[present]))
 
     def __getstate__(self) -> dict:
-        # The codes cache is derived data — cheap to rebuild, pointless
-        # to ship across process boundaries.
+        # The codes cache is derived data and stays out of pickles; a
+        # receiving process rebuilds it (one object sort per categorical
+        # column) on first use.
         state = self.__dict__.copy()
         state.pop("_codes_cache", None)
         return state
@@ -210,9 +221,12 @@ class Column:
         return self._shared
 
     def categories(self) -> list:
-        """Sorted distinct non-missing values (categorical convenience)."""
-        present = self._values[~self._missing]
-        return sorted(set(present.tolist()), key=str)
+        """Sorted distinct non-missing values (categorical convenience).
+
+        A copy of the category list of :meth:`codes`, so it costs nothing
+        once the codes are cached.
+        """
+        return list(self.codes()[1])
 
     def codes(self) -> tuple[np.ndarray, list]:
         """Integer codes of the values plus the category list.
@@ -231,7 +245,7 @@ class Column:
             return cached[1], cached[2]
         present = ~self._missing
         values = self._values[present]
-        cats = self.categories()
+        cats = sorted(set(values.tolist()), key=str)
         codes = np.full(len(self._values), -1, dtype=np.intp)
         if cats:
             inverse = None
@@ -309,11 +323,60 @@ class Column:
             self._missing = self._missing.copy()
             self._shared = False
 
-    def _bump(self) -> None:
-        """Mutation happened: mint a fresh token, advance the version."""
+    def _bump(self, carried: tuple | None = None) -> None:
+        """Mutation happened: mint a fresh token, advance the version.
+
+        ``carried`` is the post-write ``(codes, categories)`` when the
+        writer could derive it (:meth:`_carry_codes`); otherwise the
+        codes cache is dropped.
+        """
         self._token = _mint_token()
         self._version += 1
-        self._codes_cache = None
+        self._codes_cache = None if carried is None else (self._token, *carried)
+
+    def _carry_codes(self, idx: np.ndarray, written: np.ndarray | None) -> tuple | None:
+        """Post-write ``(codes, categories)`` derived from the cached codes.
+
+        Call after ``written`` (an object array, ``None`` for missing
+        cells; ``None`` itself when every written cell is missing) has
+        been stored at ``idx`` but before :meth:`_bump`, while
+        the cache still matches the token. Returns ``None`` — rebuild
+        from scratch — unless the codes are cached and every category and
+        every written value is an exact ``str`` already in the table:
+        anything else (a new category, ``1`` vs ``1.0`` vs ``True``, a
+        ``str`` subclass) could change the from-scratch ordering.
+        Categories that no longer occur are compacted out; a subset of a
+        str-sorted list stays str-sorted, so the result equals a
+        from-scratch :meth:`codes`.
+        """
+        cached = self._codes_cache
+        if cached is None or cached[0] != self._token:
+            return None
+        __, old_codes, cats = cached
+        if any(type(c) is not str for c in cats):
+            return None
+        if written is None:
+            new = -1
+        else:
+            written = written.tolist()
+            if any(type(v) is not str for v in written if v is not None):
+                return None
+            lookup = {c: i for i, c in enumerate(cats)}
+            lookup[None] = -1
+            new = np.array([lookup.get(v, -2) for v in written], dtype=np.intp)
+            if (new == -2).any():
+                return None
+        codes = old_codes.copy()
+        codes[idx] = new
+        # Shift by one so missing cells (code -1) land in a dropped bin.
+        counts = np.bincount(codes + 1, minlength=len(cats) + 1)[1:]
+        if counts.all():
+            return codes, cats
+        # Compact: surviving categories keep their order; slot -1 stays -1.
+        keep = counts > 0
+        remap = np.full(len(cats) + 1, -1, dtype=np.intp)
+        remap[:-1][keep] = np.arange(int(keep.sum()))
+        return remap[codes], [c for c, k in zip(cats, keep) if k]
 
     def set_values(self, indices: Sequence[int] | np.ndarray, values: Iterable) -> None:
         """Overwrite cells at ``indices`` with ``values``.
@@ -333,6 +396,7 @@ class Column:
         # index): content may already have changed, and a token must
         # never survive a content change — a spurious new token only
         # costs a cache miss, a stale one serves wrong statistics.
+        carried = None
         try:
             if self.kind is ColumnKind.NUMERIC:
                 arr = np.asarray(vals, dtype=float)
@@ -349,21 +413,25 @@ class Column:
                 arr[miss] = None
                 self._values[idx] = arr
                 self._missing[idx] = miss
+                carried = self._carry_codes(idx, arr)
         finally:
-            self._bump()
+            self._bump(carried)
 
     def set_missing(self, indices: Sequence[int] | np.ndarray) -> None:
         """Mark the cells at ``indices`` as missing (copy-on-write)."""
         idx = np.asarray(indices)
         self._materialize()
+        carried = None
         try:
             if self.kind is ColumnKind.NUMERIC:
                 self._values[idx] = np.nan
             else:
                 self._values[idx] = None
             self._missing[idx] = True
+            if self.kind is ColumnKind.CATEGORICAL:
+                carried = self._carry_codes(idx, None)
         finally:
-            self._bump()
+            self._bump(carried)
 
     # ------------------------------------------------------------------ #
     # functional variants (leave the receiver untouched)

@@ -8,7 +8,8 @@ mirroring how placeholder values behave in the paper's pipeline.
 
 The preprocessor keeps no memo of its own. Categorical columns are read
 through :meth:`Column.codes`, the integer-codes cache each column already
-carries (dropped when the column is mutated), so fitting a category set
+carries (carried through writes that add no category, dropped on any
+other write), so fitting a category set
 and one-hot encoding a column are both array operations on those codes.
 """
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.frame import Column, ColumnKind
 
@@ -102,6 +102,87 @@ class TestMutation:
         col.set_missing([0, 2])
         assert col.n_missing == 2
         assert np.isnan(col.values[0])
+
+
+class TestCodesCarry:
+    """White-box: which writes carry the codes cache to the new token."""
+
+    def _carried(self, col):
+        return col._codes_cache is not None and col._codes_cache[0] == col.token
+
+    def test_write_of_known_categories_carries(self):
+        col = Column("c", np.array(["a", "b", "c", None], dtype=object))
+        col.codes()
+        col.set_values([0, 3], ["c", "a"])
+        assert self._carried(col)
+        col.set_missing([1])
+        assert self._carried(col)
+        codes, cats = col.codes()
+        assert cats == ["a", "c"]
+        assert codes.tolist() == [1, -1, 1, 0]
+
+    @pytest.mark.parametrize("value", ["z", 1, np.str_("a")])
+    def test_new_or_foreign_value_drops(self, value):
+        col = Column("c", np.array(["a", "b"], dtype=object))
+        col.codes()
+        col.set_values([0], [value])
+        assert not self._carried(col)
+
+
+#: Cell values for the codes property test: a few string categories,
+#: missing cells, and values that are equal across types (``1 == 1.0 ==
+#: True``) or share a ``str`` form (``"1"``), where a carry must fall back.
+_CELLS = st.sampled_from(["a", "b", "c", "d", None, None, 1, 1.0, True, "1"])
+_STRING_CELLS = st.sampled_from(["a", "b", "c", "d", None])
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_codes_after_writes_equal_a_rebuild(data):
+    cells = data.draw(st.sampled_from([_STRING_CELLS, _CELLS]))
+    n = data.draw(st.integers(1, 8))
+    start = data.draw(st.lists(cells, min_size=n, max_size=n))
+    col = Column("c", np.array(start, dtype=object), kind=ColumnKind.CATEGORICAL)
+    for __ in range(data.draw(st.integers(1, 6))):
+        codes, cats = col.codes()
+        sibling = col.share()
+        before = codes.copy(), _typed(cats)
+        # Duplicate indices are allowed: the last write wins.
+        indices = np.array(
+            data.draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)), dtype=np.intp
+        )
+        op = data.draw(
+            st.sampled_from(["set_values", "set_missing", "with_values", "with_scatter"])
+        )
+        if op == "set_missing":
+            col.set_missing(indices)
+        elif op == "with_scatter":
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            k = int(mask.sum())
+            if data.draw(st.booleans()):
+                value = data.draw(cells)  # broadcast scalar
+            else:
+                value = np.array(data.draw(st.lists(cells, min_size=k, max_size=k)), dtype=object)
+            col = col.with_scatter(mask, value)
+        else:
+            values = data.draw(st.lists(cells, min_size=len(indices), max_size=len(indices)))
+            if op == "set_values":
+                col.set_values(indices, values)
+            else:
+                col = col.with_values(indices, values)
+        # The copy-on-write sibling keeps the pre-write codes.
+        sib_codes, sib_cats = sibling.codes()
+        assert np.array_equal(sib_codes, before[0]) and _typed(sib_cats) == before[1]
+        fresh = Column("c", col.values.copy(), kind=ColumnKind.CATEGORICAL)
+        codes, cats = col.codes()
+        fresh_codes, fresh_cats = fresh.codes()
+        assert np.array_equal(codes, fresh_codes)
+        assert _typed(cats) == _typed(fresh_cats)
+        assert _typed(col.categories()) == _typed(fresh_cats)
 
 
 class TestEquality:
