@@ -11,6 +11,7 @@ feeds back into later predictions for the same candidate (§3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,11 +21,12 @@ from repro.errors.base import ErrorType
 from repro.errors.polluter import Polluter
 from repro.frame import DataFrame
 from repro.ml.base import BaseEstimator
-from repro.ml.pipeline import TabularModel
+from repro.ml.pipeline import Featurized, TabularModel
 from repro.runtime import (
     ExecutionBackend,
     FitScoreTask,
     SerialBackend,
+    ThreadBackend,
     run_fit_score_task,
 )
 
@@ -111,6 +113,7 @@ class CometEstimator:
         test: DataFrame,
         feature: str,
         error: ErrorType,
+        base: Featurized | None = None,
     ) -> _CandidateTasks:
         """Materialize one candidate's E1 sweep as picklable fit-score tasks.
 
@@ -124,8 +127,9 @@ class CometEstimator:
 
         The polluted states are copy-on-write: each differs from the
         base frame in one column and *shares* the rest, identity tokens
-        and cached integer codes included, so featurizing a state
-        re-encodes only the polluted column's codes.
+        and cached integer codes included. Given ``base``, the
+        featurization of ``(train, test)``, every task copies the shared
+        columns from it and encodes only the polluted one.
         """
         cfg = self.config
         tasks: list[FitScoreTask] = []
@@ -150,6 +154,7 @@ class CometEstimator:
                         test=test_state.frame,
                         task=self.task,
                         tag=(feature, error.name, train_state.level),
+                        base=base,
                     )
                 )
                 levels.append(train_state.level)
@@ -241,6 +246,12 @@ class CometEstimator:
     ) -> list[Prediction]:
         """E1 + E2 for a whole candidate sweep in one batched dispatch.
 
+        On the serial and thread backends, featurizes the base
+        ``(train, test)`` state once; every task then copies the columns
+        its polluted state shares with the base and encodes only the
+        polluted one (byte-identical to encoding all). Pickled tasks drop
+        the base, so for other backends none is built.
+
         Builds candidate task lists in candidate order (the same RNG
         draws a sequence of :meth:`estimate` calls would make). On a
         pooled backend the whole sweep is materialized and dispatched as
@@ -251,22 +262,30 @@ class CometEstimator:
         consumption and results are bit-identical; see ``repro.runtime``
         for the contract.
         """
-        if backend is None or isinstance(backend, SerialBackend):
-            return [
-                self.estimate(train, test, feature, error, baseline_f1)
-                for feature, error in candidates
-            ]
-        groups = [
-            self.build_candidate_tasks(train, test, feature, error)
+        serial = backend is None or isinstance(backend, SerialBackend)
+        base = None
+        if serial or isinstance(backend, ThreadBackend):
+            model = TabularModel(self.estimator, label=self.label, task=self.task)
+            base = model.featurize(train, test)
+        groups = (
+            self.build_candidate_tasks(train, test, feature, error, base)
             for feature, error in candidates
-        ]
-        flat = [task for group in groups for task in group.tasks]
-        fit_scores = backend.map(run_fit_score_task, flat)
+        )
+        if serial:
+            scored = (
+                (group, [run_fit_score_task(t) for t in group.tasks])
+                for group in groups
+            )
+        else:
+            groups = list(groups)
+            flat = [task for group in groups for task in group.tasks]
+            fit_scores = iter(backend.map(run_fit_score_task, flat))
+            scored = (
+                (group, list(islice(fit_scores, len(group.tasks))))
+                for group in groups
+            )
         predictions: list[Prediction] = []
-        offset = 0
-        for group in groups:
-            chunk = fit_scores[offset : offset + len(group.tasks)]
-            offset += len(group.tasks)
+        for group, chunk in scored:
             levels, scores = _assemble_curve(group, chunk, baseline_f1)
             predictions.append(
                 self.predict_cleaning(

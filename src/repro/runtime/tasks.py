@@ -8,6 +8,14 @@ payload.  That purity is what lets the backends run tasks in any order
 serial run: every data state and every random draw happened *before* the
 task was built.
 
+A task may also carry a *base*: the featurization of the sweep's
+unpolluted state, from which it copies every column its own state
+shares (:meth:`TabularModel.featurize`).  Serial and thread runs share
+one base across a sweep's tasks.  Pickling drops it, so process and
+distributed payloads keep their size and workers featurize in full —
+with byte-identical results, since the base only saves recomputation.
+The Estimator therefore builds no base for those backends.
+
 Task frames are copy-on-write (:mod:`repro.frame`): states produced by
 one E1 sweep share their untouched columns, so pickling a batch of tasks
 serializes each shared column once (pickle's memo follows object
@@ -29,7 +37,7 @@ from typing import Any
 
 from repro.frame import DataFrame
 from repro.ml.base import BaseEstimator
-from repro.ml.pipeline import TabularModel
+from repro.ml.pipeline import Featurized, TabularModel
 
 __all__ = ["FitScoreTask", "run_fit_score_task"]
 
@@ -51,6 +59,9 @@ class FitScoreTask:
     tag:
         Opaque caller bookkeeping (e.g. ``(candidate_index, position)``);
         carried through untouched so results can be reassembled.
+    base:
+        Optional featurization of a state that shares columns with
+        ``train``/``test`` (:meth:`TabularModel.featurize`); never pickled.
     """
 
     estimator: BaseEstimator
@@ -59,11 +70,17 @@ class FitScoreTask:
     test: DataFrame
     task: str = "classification"
     tag: Any = field(default=None, compare=False)
+    base: Featurized | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "base": None}
 
     def run(self) -> float:
         """Execute the evaluation and return the task metric."""
         model = TabularModel(self.estimator, label=self.label, task=self.task)
-        return model.fit_score(self.train, self.test)
+        return model.fit_score(self.train, self.test, base=self.base)
 
 
 def run_fit_score_task(task: FitScoreTask) -> float:

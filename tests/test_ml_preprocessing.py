@@ -15,6 +15,7 @@ from repro.ml import (
     make_classifier,
     train_test_split,
 )
+from repro.ml import preprocessing
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -388,6 +389,227 @@ class TestTransformOracle:
             after, _oracle_transform(frame, mutated, ["x"], ["c"])
         )
         assert not np.array_equal(before, after)
+
+
+def _fingerprint(state):
+    """Everything a featurization produced, as comparable bytes."""
+    prep = state.preprocessor
+    scaler = prep.scaler_
+    parts = [
+        prep.tokens_,
+        prep.statistics_,
+        prep.numeric_names_,
+        prep.categorical_names_,
+        [(name, np.float64(v).tobytes()) for name, v in prep.numeric_means_.items()],
+        None if scaler is None else (scaler.mean_.tobytes(), scaler.scale_.tobytes()),
+        prep.encoder_.categories_,
+    ]
+    for split in (state.train, state.test):
+        X, y = split.design.matrix, split.targets
+        parts += [X.shape, X.dtype.str, X.tobytes(), y.dtype.str, y.tobytes()]
+    return parts
+
+
+def _assert_splice_matches(train, test, derive, task="classification"):
+    """Featurizing ``derive``'s state with the base ``(train, test)``
+    equals featurizing it from scratch, byte for byte."""
+    model = TabularModel(make_classifier("lor"), label="y", task=task)
+    base = model.featurize(train, test)
+    splits = (base.train, base.test)
+    kept = [(s.design.matrix.copy(), s.targets.copy()) for s in splits]
+    train2, test2 = train.copy(), test.copy()
+    derive(train2, test2)
+    spliced = model.featurize(train2, test2, base)
+    full = TabularModel(make_classifier("lor"), label="y", task=task).featurize(
+        train2, test2
+    )
+    assert _fingerprint(spliced) == _fingerprint(full)
+    for split, (X, y), derived in zip(splits, kept, spliced[1:]):
+        assert not split.design.matrix.flags.writeable
+        assert not split.targets.flags.writeable
+        assert split.design.matrix.tobytes() == X.tobytes()
+        assert split.targets.tobytes() == y.tobytes()
+        assert not np.shares_memory(derived.design.matrix, split.design.matrix)
+        assert not np.shares_memory(derived.targets, split.targets)
+
+
+def _splice_frame():
+    return DataFrame(
+        {
+            "x": np.linspace(-1.0, 1.0, 6),
+            "z": [1.0, np.nan, 3.0, 4.0, 5.0, 6.0],
+            "c": np.array(["u", "v", "w", "u", "v", "w"], dtype=object),
+            "d": np.array(["p", None, "q", "p", "q", "p"], dtype=object),
+            "y": np.array(["yes", "no", "yes", "no", "yes", "no"], dtype=object),
+        }
+    )
+
+
+def _write(name, rows, values, splits=(0,)):
+    def derive(train, test):
+        for split in splits:
+            (train, test)[split][name].set_values(rows, values)
+
+    return derive
+
+
+def _all_missing(name, splits=(0,)):
+    def derive(train, test):
+        for split in splits:
+            frame = (train, test)[split]
+            frame[name].set_missing(range(frame.n_rows))
+
+    return derive
+
+
+@st.composite
+def _splice_cases(draw):
+    """A base state plus up to two writes to 0, 1 or 2 columns of its
+    train and/or test split (features or the label)."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n_numeric = draw(st.integers(0, 2))
+    numeric = [f"x{i}" for i in range(n_numeric)]
+    categorical = [f"c{i}" for i in range(draw(st.integers(0 if n_numeric else 1, 3)))]
+    if task == "classification":
+        labels = st.sampled_from(["yes", "no", "maybe"])
+    else:
+        labels = st.floats(-100, 100)
+    categories = st.one_of(_CATEGORY_CELLS, st.just("new"))
+
+    def frame(n_rows):
+        cells = lambda values: st.lists(values, min_size=n_rows, max_size=n_rows)
+        columns = [Column(n, draw(cells(_NUMERIC_CELLS))) for n in numeric]
+        columns += [
+            Column(
+                n,
+                np.array(draw(cells(_CATEGORY_CELLS)), dtype=object),
+                ColumnKind.CATEGORICAL,
+            )
+            for n in categorical
+        ]
+        columns.append(Column("y", draw(cells(labels))))
+        return DataFrame(columns)
+
+    train, test = frame(draw(st.integers(1, 20))), frame(draw(st.integers(1, 20)))
+    writes = []
+    for __ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(numeric + categorical + ["y"]))
+        split = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        modes = ["cells", "one value"] + ([] if name == "y" else ["all missing"])
+        mode = draw(st.sampled_from(modes))
+        if name == "y":
+            values = labels
+        elif name in numeric:
+            values = _NUMERIC_CELLS
+        else:
+            values = categories
+        for s in split:
+            n_rows = (train, test)[s].n_rows
+            if mode == "all missing":
+                writes.append(_all_missing(name, (s,)))
+                continue
+            if mode == "cells":
+                rows = draw(
+                    st.lists(st.integers(0, n_rows - 1), min_size=1, unique=True)
+                )
+                cells = [draw(values) for __ in rows]
+            else:
+                rows = list(range(n_rows))
+                cells = [draw(values.filter(lambda v: v is not None))] * n_rows
+            writes.append(_write(name, rows, cells, (s,)))
+
+    def derive(train2, test2):
+        for write in writes:
+            write(train2, test2)
+
+    return train, test, derive, task
+
+
+class TestBaseSplice:
+    """Featurizing with a base equals featurizing without one, byte for
+    byte: design matrices, targets and fitted statistics."""
+
+    @given(_splice_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_featurization(self, case):
+        train, test, derive, task = case
+        _assert_splice_matches(train, test, derive, task)
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            pytest.param(lambda train, test: None, id="no-write"),
+            pytest.param(_write("c", [1], [None]), id="first-missing-widens-block"),
+            pytest.param(_write("c", range(6), ["u"] * 6), id="categories-vanish"),
+            pytest.param(_write("d", [0, 2], ["new", "new"]), id="new-category"),
+            pytest.param(_all_missing("c", (0, 1)), id="all-missing-categorical"),
+            pytest.param(_all_missing("x"), id="all-missing-numeric"),
+            pytest.param(
+                _write("x", [0, 3], [np.inf, -np.inf], (0, 1)), id="infinities"
+            ),
+            pytest.param(_write("y", [0, 1], ["no", "maybe"]), id="label-changed"),
+            pytest.param(_write("d", [4], ["new"], (1,)), id="test-only-change"),
+            pytest.param(_write("y", [2], ["maybe"], (1,)), id="test-only-label"),
+        ],
+    )
+    def test_cases(self, derive):
+        _assert_splice_matches(_splice_frame(), _splice_frame(), derive)
+
+    def test_two_columns_change_and_later_blocks_shift(self):
+        def derive(train, test):
+            train["z"].set_values([2], [np.inf])
+            # <missing> widens "c"'s block, so "d"'s block moves right.
+            train["c"].set_values([1], [None])
+            test["d"].set_missing([0])
+
+        _assert_splice_matches(_splice_frame(), _splice_frame(), derive)
+
+    def test_column_changing_kind_moves_blocks(self):
+        # "k" turns numeric, so it leaves the one-hot region and the
+        # numeric block grows: copied blocks land elsewhere, and runs
+        # that meet in the output are apart in the base.
+        def frame():
+            columns = [Column("k", np.array(list("ababab"), dtype=object))]
+            return DataFrame(columns + list(_splice_frame()))
+
+        def derive(train, test):
+            for split in (train, test):
+                split.set_column(Column("k", [0.0, 1.0, 0.0, 1.0, 0.0, 2.0]))
+
+        _assert_splice_matches(frame(), frame(), derive)
+
+    def test_regression_targets(self):
+        def frame():
+            out = _splice_frame()
+            out.set_column(Column("y", [0.5, 1.5, -2.0, 3.0, 0.0, 1.0]))
+            return out
+
+        for derive in (_write("y", [1], [7.25]), _write("c", [1], [None])):
+            _assert_splice_matches(frame(), frame(), derive, "regression")
+
+    def test_only_changed_columns_are_fitted_and_encoded(self, monkeypatch):
+        train, test = _splice_frame(), _splice_frame()
+        model = TabularModel(make_classifier("lor"), label="y")
+        base = model.featurize(train, test)
+        train2, test2 = train.copy(), test.copy()
+        train2["c"].set_values([0], ["v"])
+        test2["d"].set_values([0], ["q"])
+        fitted, encoded = [], []
+        for name in ("_fit_numeric_column", "_fit_categorical_column"):
+            fit = getattr(preprocessing, name)
+            monkeypatch.setattr(
+                preprocessing, name, lambda col, fit=fit: fitted.append(col.name) or fit(col)
+            )
+        codes = Column.codes
+        monkeypatch.setattr(
+            Column, "codes", lambda col: encoded.append(col.name) or codes(col)
+        )
+        model.featurize(train2, test2, base)
+        # "c" changed in train: re-fitted and encoded in both splits; "d"
+        # changed in test only: encoded there alone. The label reuses
+        # the base's targets.
+        assert fitted == ["c"]
+        assert sorted(encoded) == ["c", "c", "c", "d"]
 
 
 class TestTabularModelPreprocessorReuse:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Comet, CometConfig, CometEstimator
 from repro.datasets import load_dataset, pollute
-from repro.errors import MissingValues
+from repro.errors import CategoricalShift, MissingValues
 from repro.frame import DataFrame
 from repro.ml import TabularModel, make_classifier
 from repro.runtime import (
@@ -206,12 +206,39 @@ class TestEstimatorDispatch:
             assert b.predicted_f1 == s.predicted_f1
             assert np.array_equal(b.polluted_rows, s.polluted_rows)
 
-    def test_backends_bit_identical_predictions(self, polluted):
-        candidates = [(f, MissingValues()) for f in polluted.feature_names[:3]]
+    @staticmethod
+    def _categorical_heavy():
+        """Four categoricals, each with five categories held by one train
+        cell apiece: shifting such a cell can drop its category and
+        narrow the column's one-hot block."""
+        rng = np.random.default_rng(5)
+        n, n_train = 120, 90
+        columns = {}
+        for i in range(4):
+            values = rng.choice(["a", "b", "c"], size=n).astype(object)
+            rare = rng.choice(n_train, size=5, replace=False)
+            values[rare] = [f"rare{j}" for j in range(5)]
+            columns[f"c{i}"] = values
+        columns["x"] = rng.normal(size=n)
+        columns["label"] = ((columns["c0"] == "a") | (columns["x"] > 0.5)).astype(int)
+        frame = DataFrame(columns)
+        return frame.take(range(n_train)), frame.take(range(n_train, n))
+
+    @pytest.mark.parametrize("error", ["missing", "categorical"])
+    def test_backends_bit_identical_predictions(self, polluted, error):
+        # Serial and thread runs splice every polluted state from the
+        # sweep's base featurization; process workers receive no base
+        # and featurize in full. All three must agree bit for bit.
+        if error == "missing":
+            train, test = polluted.train, polluted.test
+            candidates = [(f, MissingValues()) for f in polluted.feature_names[:3]]
+        else:
+            train, test = self._categorical_heavy()
+            candidates = [(f"c{i}", CategoricalShift()) for i in range(4)]
 
         def run(backend):
             return self._estimator().estimate_many(
-                polluted.train, polluted.test, candidates, 0.8, backend=backend
+                train, test, candidates, 0.8, backend=backend
             )
 
         serial = run(None)
@@ -224,6 +251,55 @@ class TestEstimatorDispatch:
             assert np.array_equal(s.scores, t.scores)
             assert np.array_equal(s.scores, p.scores)
             assert np.array_equal(s.polluted_rows, p.polluted_rows)
+
+        model = TabularModel(make_classifier("lor"), label="label")
+        base = model.featurize(train, test)
+        estimator = self._estimator()
+        tasks = [
+            task
+            for feature, err in candidates
+            for task in estimator.build_candidate_tasks(
+                train, test, feature, err, base
+            ).tasks
+        ]
+        if error == "categorical":
+            # The input does what it is here for: some polluted state's
+            # design matrix is narrower than the base's.
+            width = base.train.design.matrix.shape[1]
+            widths = {
+                model.featurize(t.train, t.test).train.design.matrix.shape[1]
+                for t in tasks
+            }
+            assert min(widths) < width
+        # A pickled task leaves its base behind and scores the same.
+        for task in tasks[:2]:
+            revived = pickle.loads(pickle.dumps(task))
+            assert task.base is base and revived.base is None
+            assert run_fit_score_task(revived) == run_fit_score_task(task)
+
+    def test_base_is_built_only_for_in_process_backends(self, polluted):
+        # Pickling drops the base, so a backend that ships its tasks
+        # elsewhere gets none; thread tasks share a single one.
+        class Shipping(ExecutionBackend):
+            def map(self, fn, tasks):
+                self.bases = [task.base for task in tasks]
+                return [fn(task) for task in tasks]
+
+        class Threads(ThreadBackend):
+            def map(self, fn, tasks):
+                self.bases = [task.base for task in tasks]
+                return super().map(fn, tasks)
+
+        candidates = [(f, MissingValues()) for f in polluted.feature_names[:2]]
+        shipping, threads = Shipping(), Threads(2)
+        with threads:
+            for backend in (shipping, threads):
+                self._estimator().estimate_many(
+                    polluted.train, polluted.test, candidates, 0.8, backend=backend
+                )
+        assert shipping.bases and set(shipping.bases) == {None}
+        assert threads.bases and len({id(b) for b in threads.bases}) == 1
+        assert threads.bases[0] is not None
 
 
 class TestCometDeterminism:
