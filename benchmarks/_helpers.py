@@ -35,7 +35,7 @@ RR_REPEATS = 2
 # Figure suites fan their (configuration, setting) tasks out through a
 # ``repro.runtime`` backend — results are trace-identical to serial runs
 # (the determinism contract), so this is purely a throughput knob.
-# Override with REPRO_BENCH_BACKEND=serial|thread|process and
+# Override with REPRO_BENCH_BACKEND=serial|process|distributed and
 # REPRO_BENCH_JOBS=<n>; the default uses the process pool on multi-core
 # hosts and degrades to serial on single-core ones (``jobs<=1`` → serial).
 BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "process")

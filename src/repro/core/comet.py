@@ -47,8 +47,8 @@ class Comet(CleaningSession):
         detect-and-impute pipeline.
     backend:
         Execution backend for the Estimator's E1 sweep: a registry name
-        (``"serial"``, ``"thread"``, ``"process"``, ``"distributed"``) or
-        an :class:`~repro.runtime.ExecutionBackend` instance. Traces are
+        (``"serial"``, ``"process"``, ``"distributed"``) or an
+        :class:`~repro.runtime.ExecutionBackend` instance. Traces are
         bit-identical across backends for a fixed ``rng`` (the
         ``repro.runtime`` determinism contract); the backend is purely a
         throughput knob. :meth:`close` shuts it down, injected instances

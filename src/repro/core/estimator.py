@@ -26,7 +26,6 @@ from repro.runtime import (
     ExecutionBackend,
     FitScoreTask,
     SerialBackend,
-    ThreadBackend,
     run_fit_score_task,
 )
 
@@ -246,11 +245,11 @@ class CometEstimator:
     ) -> list[Prediction]:
         """E1 + E2 for a whole candidate sweep in one batched dispatch.
 
-        On the serial and thread backends, featurizes the base
-        ``(train, test)`` state once; every task then copies the columns
-        its polluted state shares with the base and encodes only the
-        polluted one (byte-identical to encoding all). Pickled tasks drop
-        the base, so for other backends none is built.
+        On the serial path, featurizes the base ``(train, test)`` state
+        once; every task then copies the columns its polluted state
+        shares with the base and encodes only the polluted one
+        (byte-identical to encoding all). Pickled tasks drop the base,
+        so for pooled backends none is built.
 
         Builds candidate task lists in candidate order (the same RNG
         draws a sequence of :meth:`estimate` calls would make). On a
@@ -264,7 +263,7 @@ class CometEstimator:
         """
         serial = backend is None or isinstance(backend, SerialBackend)
         base = None
-        if serial or isinstance(backend, ThreadBackend):
+        if serial:
             model = TabularModel(self.estimator, label=self.label, task=self.task)
             base = model.featurize(train, test)
         groups = (

@@ -74,7 +74,7 @@ class Configuration:
         Random-baseline repetitions averaged per setting (5 in §4.5).
     backend:
         Execution backend name for COMET's estimation sweep
-        (``"serial"``, ``"thread"``, ``"process"``).
+        (``"serial"``, ``"process"``, ``"distributed"``).
     jobs:
         Worker count for the backend; ``1`` falls back to serial.
     """

@@ -6,7 +6,9 @@ estimations for different candidates are independent (PAPER §3.1).  This
 package turns that loop into *task dispatch*: the caller builds a flat
 list of picklable :class:`~repro.runtime.tasks.FitScoreTask` objects and
 hands them to an :class:`~repro.runtime.backends.ExecutionBackend`, which
-runs them serially, on a thread pool, or on a process pool.
+runs them serially, on a process pool, or on remote workers.  There is no
+thread pool: on CPython two threads of the sweep's small numpy fits
+contend for the interpreter and run slower than one.
 
 Backend selection
 -----------------
@@ -14,7 +16,7 @@ Backends are selected by name through the registry::
 
     from repro.runtime import make_backend
 
-    backend = make_backend("thread", jobs=4)   # "serial" / "process" /
+    backend = make_backend("process", jobs=4)  # or "serial" /
     with backend:                              # "distributed"
         scores = backend.map(fn, tasks)
 
@@ -25,12 +27,12 @@ never pay pool overhead for it.  The ``"distributed"`` backend
 line-delimited JSON) is exempt: its single worker still runs in another
 process, possibly on another machine.  Passing an already-constructed backend
 instance returns it unchanged, which lets tests and power users inject
-custom backends.  ``Comet(..., backend="thread", jobs=4)`` and the CLI's
+custom backends.  ``Comet(..., backend="process", jobs=4)`` and the CLI's
 ``--backend/--jobs`` flags route through the same registry.
 
 Determinism guarantees
 ----------------------
-Serial, thread, process, and distributed runs of the same session are
+Serial, process, and distributed runs of the same session are
 **bit-identical**:
 
 1. *All randomness is consumed while building tasks, never while running
@@ -46,16 +48,11 @@ Serial, thread, process, and distributed runs of the same session are
    recompute identically.
 
 Consequently a :class:`~repro.core.trace.CleaningTrace` produced with
-``backend="thread", jobs=4`` equals the ``backend="serial"`` trace for
+``backend="process", jobs=4`` equals the ``backend="serial"`` trace for
 the same seed, and the choice of backend is purely a throughput knob.
 """
 
-from repro.runtime.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.runtime.backends import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.runtime.distributed import (
     DistributedBackend,
     RemoteTaskError,
@@ -74,7 +71,6 @@ from repro.runtime.tasks import FitScoreTask, run_fit_score_task
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "DistributedBackend",
     "RemoteTaskError",

@@ -1,4 +1,4 @@
-"""Execution backends: serial, thread-pool, and process-pool task runners.
+"""Execution backends: serial and process-pool task runners.
 
 A backend is a context manager owning worker resources plus one verb,
 ``map(fn, tasks)``, which applies ``fn`` to every task and returns the
@@ -9,12 +9,10 @@ Pools are created lazily on first ``map`` so a backend constructed but
 never used costs nothing; entering the context starts the pool eagerly
 and leaving it shuts the pool down.
 
-The in-process pools here are one end of a spectrum; the
+The process pool here is one end of a spectrum; the
 :class:`~repro.runtime.distributed.DistributedBackend` implements the
-same two primitives (ordered ``map`` plus a ``submit`` future) over
-remote worker processes, so callers — the estimator's flat E1 dispatch,
-the service scheduler — never distinguish local from distributed
-execution.
+same ordered ``map`` over remote worker processes, so the estimator's
+flat E1 dispatch never distinguishes local from distributed execution.
 """
 
 from __future__ import annotations
@@ -22,16 +20,10 @@ from __future__ import annotations
 import abc
 import threading
 import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
-__all__ = ["ExecutionBackend", "SerialBackend", "ThreadBackend", "ProcessBackend"]
+__all__ = ["ExecutionBackend", "SerialBackend", "ProcessBackend"]
 
 
 class ExecutionBackend(abc.ABC):
@@ -42,7 +34,7 @@ class ExecutionBackend(abc.ABC):
     context-manager protocol calls for them.
     """
 
-    #: Registry name of the backend (``"serial"``, ``"thread"``, …).
+    #: Registry name of the backend (``"serial"``, ``"process"``, …).
     name: str = "?"
     #: Number of workers the backend runs tasks on (1 for serial).
     workers: int = 1
@@ -50,22 +42,6 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def map(self, fn: Callable, tasks: Iterable) -> list:
         """Apply ``fn`` to every task; results come back in task order."""
-
-    def submit(self, fn: Callable, /, *args) -> Future:
-        """Run ``fn(*args)`` asynchronously, returning its :class:`Future`.
-
-        The default runs inline and returns an already-resolved future,
-        so serial execution keeps its strict ordering; pooled backends
-        override this with a real dispatch. ``submit`` is the primitive
-        the session scheduler (``repro.service``) builds on — ``map``
-        remains the verb of the deterministic sweep contract.
-        """
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # noqa: BLE001 — futures carry failures
-            future.set_exception(exc)
-        return future
 
     def start(self) -> None:
         """Acquire worker resources (no-op for serial execution)."""
@@ -94,8 +70,14 @@ class SerialBackend(ExecutionBackend):
         return [fn(task) for task in tasks]
 
 
-class _PooledBackend(ExecutionBackend):
-    """Shared lazy-pool plumbing for the thread and process backends.
+class ProcessBackend(ExecutionBackend):
+    """Process-pool execution: true CPU parallelism, pickled payloads.
+
+    Tasks and the mapped function must be picklable (module-level
+    callables, dataclass payloads).  If the host forbids spawning worker
+    processes (sandboxes, restricted containers), ``map`` degrades to
+    inline execution with a warning rather than failing the run — the
+    results are identical either way.
 
     Lifecycle transitions are lock-protected: one backend instance may be
     shared by many sessions dispatching from different threads (the
@@ -103,22 +85,24 @@ class _PooledBackend(ExecutionBackend):
     exactly one pool — not one per racing caller.
     """
 
+    name = "process"
+
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._lifecycle = threading.Lock()
+        self._degraded = False
 
-    @abc.abstractmethod
-    def _make_pool(self) -> Executor:
-        """Construct the executor backing this backend."""
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers)
 
     def start(self) -> None:
         """Acquire worker resources (idempotent, thread-safe)."""
         self._acquire_pool()
 
-    def _acquire_pool(self) -> Executor:
+    def _acquire_pool(self) -> ProcessPoolExecutor:
         with self._lifecycle:
             if self._pool is None:
                 self._pool = self._make_pool()
@@ -140,56 +124,6 @@ class _PooledBackend(ExecutionBackend):
         while a dispatch is in flight surfaces as an executor error in
         that dispatch; callers owning a shared backend (the service)
         must drain their sessions before shutting it down.
-        """
-        tasks = list(tasks) if not isinstance(tasks, Sequence) else tasks
-        if not tasks:
-            return []
-        # Local reference so a racing shutdown() cannot None the pool
-        # between the acquire and the dispatch.
-        return list(self._acquire_pool().map(fn, tasks))
-
-    def submit(self, fn: Callable, /, *args) -> Future:
-        """Dispatch ``fn(*args)`` onto the pool, returning its future."""
-        return self._acquire_pool().submit(fn, *args)
-
-
-class ThreadBackend(_PooledBackend):
-    """Thread-pool execution: shared memory, no pickling.
-
-    The fit-score workload is numpy-heavy, so threads overlap the
-    GIL-releasing linear algebra; payloads are shared by reference, which
-    makes this the cheapest parallel backend for in-process use.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-worker"
-        )
-
-
-class ProcessBackend(_PooledBackend):
-    """Process-pool execution: true CPU parallelism, pickled payloads.
-
-    Tasks and the mapped function must be picklable (module-level
-    callables, dataclass payloads).  If the host forbids spawning worker
-    processes (sandboxes, restricted containers), ``map`` degrades to
-    inline execution with a warning rather than failing the run — the
-    results are identical either way.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 2) -> None:
-        super().__init__(workers)
-        self._degraded = False
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def map(self, fn: Callable, tasks: Iterable) -> list:
-        """Apply ``fn`` to every task; results come back in task order.
 
         Pool failures degrade to the inline fallback — stickily, so a
         host that forbids worker processes pays the failed pool setup
@@ -206,6 +140,8 @@ class ProcessBackend(_PooledBackend):
         if self._degraded:
             return [fn(task) for task in tasks]
         try:
+            # The pool is fetched once so a racing shutdown() cannot None
+            # it between the acquire and the dispatch.
             return list(self._acquire_pool().map(fn, tasks))
         except (BrokenExecutor, OSError, PermissionError) as exc:
             self.shutdown()
@@ -216,19 +152,3 @@ class ProcessBackend(_PooledBackend):
                 stacklevel=2,
             )
             return [fn(task) for task in tasks]
-
-    def submit(self, fn: Callable, /, *args) -> Future:
-        """Dispatch onto the pool; a degraded backend resolves inline."""
-        if self._degraded:
-            return ExecutionBackend.submit(self, fn, *args)
-        try:
-            return self._acquire_pool().submit(fn, *args)
-        except (BrokenExecutor, OSError, PermissionError) as exc:
-            self.shutdown()
-            self._degraded = True
-            warnings.warn(
-                f"process backend unavailable ({exc}); running tasks inline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return ExecutionBackend.submit(self, fn, *args)

@@ -4,9 +4,8 @@ The coordinator (:class:`DistributedBackend`) ships pickled tasks to
 worker *processes* — on this machine or across the network — over the
 same line-delimited-JSON framing the COMET service speaks
 (:mod:`repro.runtime.wire`).  On a multi-core host two local workers
-give the E1 sweep the true CPU parallelism the in-process pools cannot
-(one Python process is one GIL); across hosts it is the only road past
-the machine boundary.
+give the E1 sweep true CPU parallelism, as the process pool does; across
+hosts it is the only road past the machine boundary.
 
 Topology
 --------
@@ -744,7 +743,7 @@ class DistributedBackend(ExecutionBackend):
                 self._evict(worker, reason)
 
     # ------------------------------------------------------------------ #
-    # the ExecutionBackend verbs
+    # the ExecutionBackend verb
     # ------------------------------------------------------------------ #
     def _enqueue(self, fn: Callable, args: tuple) -> Future:
         task = _Task(
@@ -772,14 +771,6 @@ class DistributedBackend(ExecutionBackend):
             return [fn(task) for task in tasks]
         futures = [self._enqueue(fn, (task,)) for task in tasks]
         return [future.result() for future in futures]
-
-    def submit(self, fn: Callable, /, *args) -> Future:
-        """Dispatch ``fn(*args)`` to the worker pool, returning its future."""
-        if not self._degraded:
-            self.start()
-        if self._degraded:
-            return ExecutionBackend.submit(self, fn, *args)
-        return self._enqueue(fn, args)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from repro.runtime.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.runtime.backends import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.runtime.distributed import DistributedBackend
 
 __all__ = ["register_backend", "make_backend", "available_backends"]
@@ -23,8 +18,8 @@ __all__ = ["register_backend", "make_backend", "available_backends"]
 class _Entry(NamedTuple):
     factory: Callable[[int], ExecutionBackend]
     #: Whether ``jobs <= 1`` should yield a :class:`SerialBackend`
-    #: instead of calling the factory.  True for the in-process pools
-    #: (one worker *is* serial execution); False for backends whose
+    #: instead of calling the factory.  True for the process pool (one
+    #: worker *is* serial execution); False for backends whose
     #: workers live elsewhere — one *remote* worker is still remote.
     serial_when_single: bool
 
@@ -60,7 +55,7 @@ def make_backend(
         so callers can inject custom implementations).
     jobs:
         Worker count.  ``jobs <= 1`` yields a :class:`SerialBackend` for
-        the in-process pools — one worker is serial execution, so no
+        the process pool — one worker is serial execution, so no
         pool is ever paid for it.  Backends registered with
         ``serial_when_single=False`` (``"distributed"``) are exempt:
         their single worker runs somewhere a serial fallback cannot.
@@ -78,7 +73,6 @@ def make_backend(
 
 
 register_backend("serial", lambda jobs: SerialBackend())
-register_backend("thread", lambda jobs: ThreadBackend(jobs))
 register_backend("process", lambda jobs: ProcessBackend(jobs))
 register_backend(
     "distributed",

@@ -10,11 +10,11 @@ task was built.
 
 A task may also carry a *base*: the featurization of the sweep's
 unpolluted state, from which it copies every column its own state
-shares (:meth:`TabularModel.featurize`).  Serial and thread runs share
-one base across a sweep's tasks.  Pickling drops it, so process and
-distributed payloads keep their size and workers featurize in full —
-with byte-identical results, since the base only saves recomputation.
-The Estimator therefore builds no base for those backends.
+shares (:meth:`TabularModel.featurize`).  A serial sweep shares one
+base across its tasks.  Pickling drops it, so process and distributed
+payloads keep their size and workers featurize in full — with
+byte-identical results, since the base only saves recomputation.  The
+Estimator therefore builds a base only on the serial path.
 
 Task frames are copy-on-write (:mod:`repro.frame`): states produced by
 one E1 sweep share their untouched columns, so pickling a batch of tasks

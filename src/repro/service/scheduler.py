@@ -4,12 +4,11 @@
 (each pays an E1 estimation sweep); everything else (``status``,
 ``checkpoint``, ``close``) is cheap.
 The scheduler routes the expensive verbs onto a bounded pool of worker
-threads — built on ``repro.runtime``'s :class:`ThreadBackend`, whose
-pooled backends grew a ``submit`` primitive for exactly this — so one
-slow E1
-sweep occupies one worker, never the transport thread that carried the
-request. ``status`` on session B answers immediately while session A is
-mid-``run``, whether the caller arrived over stdio, TCP, or HTTP.
+threads, so one slow E1 sweep occupies one worker, never the transport
+thread that carried the request. ``status`` on session B answers
+immediately while session A is mid-``run``, whether the caller arrived
+over stdio, TCP, or HTTP. The threads buy concurrency, not CPU: a
+sweep's own parallelism is the session's execution backend's business.
 
 Jobs are keyed by session: at most one iteration job per session may be
 in flight (a second submission raises
@@ -22,10 +21,9 @@ later through the service's ``result`` verb.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
-from repro.runtime import ExecutionBackend, ThreadBackend
 from repro.service.quotas import SessionBusyError
 
 __all__ = ["SessionScheduler"]
@@ -47,13 +45,14 @@ class SessionScheduler:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        # Always a real thread pool (repro.runtime's ThreadBackend, the
-        # submit primitive): even one worker must run jobs *off* the
-        # dispatching thread, or "wait": false could not return early —
-        # so the registry's jobs<=1 serial fallback does not apply here.
-        self.backend: ExecutionBackend = ThreadBackend(self.workers)
+        # Always a real thread pool: even one worker must run jobs *off*
+        # the dispatching thread, or "wait": false could not return early.
+        self._pool = ThreadPoolExecutor(
+            self.workers, thread_name_prefix="repro-scheduler"
+        )
         self._jobs: dict[str, Future] = {}
         self._lock = threading.Lock()
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     # dispatch
@@ -63,9 +62,13 @@ class SessionScheduler:
 
         Raises :class:`SessionBusyError` while a previous job for the
         same session is still running; an uncollected *finished* job is
-        replaced (its result is dropped — the client moved on).
+        replaced (its result is dropped — the client moved on). Raises
+        ``RuntimeError`` after :meth:`shutdown`, which a verb racing the
+        service's shutdown can reach.
         """
         with self._lock:
+            if self._closed:
+                raise RuntimeError("service is shut down")
             existing = self._jobs.get(name)
             if existing is not None and not existing.done():
                 raise SessionBusyError(
@@ -74,7 +77,7 @@ class SessionScheduler:
                     "'result' action",
                     name=name,
                 )
-            future = self.backend.submit(fn)
+            future = self._pool.submit(fn)
             self._jobs[name] = future
         return future
 
@@ -133,8 +136,10 @@ class SessionScheduler:
                 pass
 
     def shutdown(self) -> None:
-        """Drain in-flight jobs, then release the worker pool."""
+        """Refuse new jobs, drain in-flight ones, release the threads."""
+        with self._lock:
+            self._closed = True
         self.drain()
         with self._lock:
             self._jobs.clear()
-        self.backend.shutdown()
+        self._pool.shutdown(wait=True)

@@ -66,9 +66,18 @@ class TestCommands:
 
 class TestSessionCommands:
     def test_serve_parses_backend_flags(self):
-        args = build_parser().parse_args(["serve", "--backend", "thread", "--jobs", "3"])
+        args = build_parser().parse_args(
+            ["serve", "--backend", "distributed", "--jobs", "3"]
+        )
         assert args.command == "serve"
-        assert args.backend == "thread" and args.jobs == 3
+        assert args.backend == "distributed" and args.jobs == 3
+
+    def test_serve_rejects_thread_backend(self, capsys):
+        # The thread backend was retired; argparse's choices reject it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_serve_defaults_to_stdio_without_quotas(self):
         args = build_parser().parse_args(["serve"])
@@ -217,11 +226,11 @@ class TestBackendFlags:
         assert args.backend == "process"
         assert args.jobs == 3
 
-    def test_recommend_with_thread_backend(self, capsys):
+    def test_recommend_with_process_backend(self, capsys):
         code = main([
             "recommend", "--dataset", "cmc", "--algorithm", "lor",
             "--budget", "2", "--rows", "150", "--step", "0.05", "-k", "2",
-            "--backend", "thread", "--jobs", "2",
+            "--backend", "process", "--jobs", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -229,9 +238,9 @@ class TestBackendFlags:
 
     def test_backend_and_jobs_parse(self):
         args = build_parser().parse_args(
-            ["run", "--dataset", "cmc", "--backend", "thread", "--jobs", "4"]
+            ["run", "--dataset", "cmc", "--backend", "process", "--jobs", "4"]
         )
-        assert args.backend == "thread"
+        assert args.backend == "process"
         assert args.jobs == 4
 
     def test_unknown_backend_rejected(self):
@@ -240,12 +249,12 @@ class TestBackendFlags:
                 ["run", "--dataset", "cmc", "--backend", "gpu"]
             )
 
-    def test_run_with_thread_backend(self, capsys):
+    def test_run_with_process_backend(self, capsys):
         code = main(
             [
                 "run", "--dataset", "cmc", "--algorithm", "lor",
                 "--rows", "160", "--budget", "2", "--step", "0.05",
-                "--methods", "comet", "--backend", "thread", "--jobs", "2",
+                "--methods", "comet", "--backend", "process", "--jobs", "2",
             ]
         )
         assert code == 0

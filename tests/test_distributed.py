@@ -1,10 +1,10 @@
 """Tests for the distributed execution backend (``repro.runtime``).
 
 Covers the shared wire framing, registry integration (``"distributed"``
-is exempt from the jobs<=1 serial fallback), ordered ``map``/``submit``
-semantics over real sockets, the fault-tolerance paths (worker death
-mid-task, heartbeat eviction of a hung worker, retry exhaustion, the
-no-worker inline fallback), and the headline acceptance pin: a full E1
+is exempt from the jobs<=1 serial fallback), ordered ``map`` and
+per-future dispatch semantics over real sockets, the fault-tolerance
+paths (worker death mid-task, heartbeat eviction of a hung worker, retry
+exhaustion, the no-worker inline fallback), and the headline acceptance pin: a full E1
 sweep trace is bit-identical between ``backend="serial"`` and
 ``backend="distributed"`` with two workers — including under induced
 worker death.  Subprocess topologies (auto-spawned local workers, the
@@ -179,12 +179,12 @@ class TestDistributedRegistry:
 
     def test_single_worker_stays_distributed(self):
         # One *remote* worker is still remote execution — the jobs<=1
-        # serial fallback of the in-process pools must not apply.
+        # serial fallback of the process pool must not apply.
         backend = make_backend("distributed", jobs=1)
         assert isinstance(backend, DistributedBackend)
 
     def test_pools_still_fall_back_to_serial(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert isinstance(make_backend(name, jobs=1), SerialBackend)
 
     def test_connect_env_parsed(self, monkeypatch):
@@ -200,7 +200,7 @@ class TestDistributedRegistry:
 
 
 # ---------------------------------------------------------------------- #
-# map/submit semantics over real sockets
+# map and per-future dispatch semantics over real sockets
 # ---------------------------------------------------------------------- #
 class TestMapSemantics:
     def test_map_preserves_task_order(self, harness):
@@ -214,9 +214,9 @@ class TestMapSemantics:
     def test_empty_task_list(self, harness):
         assert harness.backend.map(_square, []) == []
 
-    def test_submit_returns_future(self, harness):
+    def test_enqueue_returns_future(self, harness):
         harness.add("a")
-        assert harness.backend.submit(_square, 7).result(timeout=30) == 49
+        assert harness.backend._enqueue(_square, (7,)).result(timeout=30) == 49
 
     def test_remote_exception_carries_traceback(self, harness):
         harness.add("a")
@@ -229,7 +229,7 @@ class TestMapSemantics:
         harness.add("a")
         harness.add("b")
         futures = [
-            harness.backend.submit(_boom if i == 2 else _square, i)
+            harness.backend._enqueue(_boom if i == 2 else _square, (i,))
             for i in range(5)
         ]
         results = []

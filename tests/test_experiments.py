@@ -183,18 +183,18 @@ class TestReporting:
 class TestParallelRunner:
     """The runner's backend fan-out must return exactly what serial runs do."""
 
-    def test_run_configuration_thread_matches_serial(self):
+    def test_run_configuration_process_matches_serial(self):
         config = Configuration("cmc", algorithm="lor", **FAST)
         serial = run_configuration(
             config, methods=("comet", "rr"), n_settings=2, seed=0
         )
-        threaded = run_configuration(
+        processed = run_configuration(
             config, methods=("comet", "rr"), n_settings=2, seed=0,
-            backend="thread", jobs=2,
+            backend="process", jobs=2,
         )
-        assert serial.keys() == threaded.keys()
+        assert serial.keys() == processed.keys()
         for method in serial:
-            assert serial[method] == threaded[method]
+            assert serial[method] == processed[method]
 
     def test_run_configurations_fans_out_in_input_order(self):
         from repro.experiments import run_configurations
@@ -204,7 +204,7 @@ class TestParallelRunner:
             Configuration("eeg", algorithm="lor", **FAST),
         ]
         batched = run_configurations(
-            configs, methods=("rr",), n_settings=1, seed=1, backend="thread", jobs=2
+            configs, methods=("rr",), n_settings=1, seed=1, backend="process", jobs=2
         )
         assert len(batched) == 2
         for config, results in zip(configs, batched):

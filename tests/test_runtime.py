@@ -11,6 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.core.estimator as estimator_module
+import repro.runtime.registry as registry_module
 from repro.core import Comet, CometConfig, CometEstimator
 from repro.datasets import load_dataset, pollute
 from repro.errors import CategoricalShift, MissingValues
@@ -21,7 +23,6 @@ from repro.runtime import (
     FitScoreTask,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
     register_backend,
@@ -35,58 +36,70 @@ def _square(x):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert {"serial", "process", "distributed"} <= set(available_backends())
 
     def test_make_backend_by_name(self):
-        backend = make_backend("thread", jobs=4)
-        assert isinstance(backend, ThreadBackend)
+        backend = make_backend("process", jobs=4)
+        assert isinstance(backend, ProcessBackend)
         assert backend.workers == 4
 
     def test_single_worker_falls_back_to_serial(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert isinstance(make_backend(name, jobs=1), SerialBackend)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu", jobs=2)
 
+    def test_thread_backend_is_gone(self):
+        # Two threads of the E1 sweep ran it slower than one on CPython,
+        # so the thread pool was retired; its name is now unknown.
+        assert available_backends() == ["distributed", "process", "serial"]
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            make_backend("thread", 2)
+        assert "['distributed', 'process', 'serial']" in str(excinfo.value)
+
     def test_instance_passthrough(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         assert make_backend(backend, jobs=8) is backend
 
-    def test_custom_registration(self):
+    def test_custom_registration(self, monkeypatch):
+        # On a copy of the registry, so later tests see the built-ins only.
+        monkeypatch.setattr(
+            registry_module, "_BACKENDS", dict(registry_module._BACKENDS)
+        )
         register_backend("custom-serial", lambda jobs: SerialBackend())
         assert "custom-serial" in available_backends()
         assert isinstance(make_backend("custom-serial", jobs=3), SerialBackend)
 
     def test_invalid_worker_count_raises(self):
         with pytest.raises(ValueError):
-            ThreadBackend(0)
+            ProcessBackend(0)
 
 
 class TestBackendMap:
     @pytest.mark.parametrize(
         "backend_factory",
-        [SerialBackend, lambda: ThreadBackend(3), lambda: ProcessBackend(2)],
-        ids=["serial", "thread", "process"],
+        [SerialBackend, lambda: ProcessBackend(2)],
+        ids=["serial", "process"],
     )
     def test_map_preserves_task_order(self, backend_factory):
         with backend_factory() as backend:
             assert backend.map(_square, range(25)) == [x * x for x in range(25)]
 
     def test_empty_task_list(self):
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             assert backend.map(_square, []) == []
 
     def test_pool_restarts_after_shutdown(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         assert backend.map(_square, [1, 2]) == [1, 4]
         backend.shutdown()
         assert backend.map(_square, [3]) == [9]
         backend.shutdown()
 
     def test_context_manager_lifecycle(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         with backend as entered:
             assert entered is backend
             assert backend._pool is not None
@@ -101,41 +114,6 @@ class TestBackendMap:
         with pytest.warns(RuntimeWarning, match="running tasks inline"):
             assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert backend._pool is None
-
-
-class TestBackendSubmit:
-    """``submit`` is the async primitive the session scheduler builds on."""
-
-    def test_serial_submit_resolves_inline(self):
-        backend = SerialBackend()
-        future = backend.submit(_square, 6)
-        assert future.done() and future.result() == 36
-
-    def test_serial_submit_captures_exceptions(self):
-        future = SerialBackend().submit(_square, "nope")
-        assert future.done()
-        with pytest.raises(TypeError):
-            future.result()
-
-    def test_thread_submit_runs_off_thread(self):
-        import threading
-
-        caller = threading.get_ident()
-        with ThreadBackend(2) as backend:
-            future = backend.submit(threading.get_ident)
-            assert future.result(timeout=30) != caller
-
-    def test_degraded_process_submit_resolves_inline(self, monkeypatch):
-        def deny(self):
-            raise PermissionError("fork forbidden")
-
-        monkeypatch.setattr(ProcessBackend, "_make_pool", deny)
-        backend = ProcessBackend(2)
-        with pytest.warns(RuntimeWarning, match="running tasks inline"):
-            future = backend.submit(_square, 5)
-        assert future.result() == 25
-        # Stickily degraded: the next submit stays inline, no new warning.
-        assert backend.submit(_square, 6).result() == 36
 
 
 class TestFitScoreTask:
@@ -226,9 +204,9 @@ class TestEstimatorDispatch:
 
     @pytest.mark.parametrize("error", ["missing", "categorical"])
     def test_backends_bit_identical_predictions(self, polluted, error):
-        # Serial and thread runs splice every polluted state from the
-        # sweep's base featurization; process workers receive no base
-        # and featurize in full. All three must agree bit for bit.
+        # The serial run splices every polluted state from the sweep's
+        # base featurization; process workers receive no base and
+        # featurize in full. Both must agree bit for bit.
         if error == "missing":
             train, test = polluted.train, polluted.test
             candidates = [(f, MissingValues()) for f in polluted.feature_names[:3]]
@@ -242,13 +220,11 @@ class TestEstimatorDispatch:
             )
 
         serial = run(None)
-        threaded = run(ThreadBackend(4))
         with ProcessBackend(2) as process_backend:
             processed = run(process_backend)
-        for s, t, p in zip(serial, threaded, processed):
-            assert s.predicted_f1 == t.predicted_f1 == p.predicted_f1
-            assert s.uncertainty == t.uncertainty == p.uncertainty
-            assert np.array_equal(s.scores, t.scores)
+        for s, p in zip(serial, processed):
+            assert s.predicted_f1 == p.predicted_f1
+            assert s.uncertainty == p.uncertainty
             assert np.array_equal(s.scores, p.scores)
             assert np.array_equal(s.polluted_rows, p.polluted_rows)
 
@@ -277,29 +253,36 @@ class TestEstimatorDispatch:
             assert task.base is base and revived.base is None
             assert run_fit_score_task(revived) == run_fit_score_task(task)
 
-    def test_base_is_built_only_for_in_process_backends(self, polluted):
+    def test_base_is_built_only_on_the_serial_path(self, polluted, monkeypatch):
         # Pickling drops the base, so a backend that ships its tasks
-        # elsewhere gets none; thread tasks share a single one.
+        # elsewhere gets none; a serial sweep's tasks share a single one.
         class Shipping(ExecutionBackend):
             def map(self, fn, tasks):
                 self.bases = [task.base for task in tasks]
                 return [fn(task) for task in tasks]
 
-        class Threads(ThreadBackend):
-            def map(self, fn, tasks):
-                self.bases = [task.base for task in tasks]
-                return super().map(fn, tasks)
-
         candidates = [(f, MissingValues()) for f in polluted.feature_names[:2]]
-        shipping, threads = Shipping(), Threads(2)
-        with threads:
-            for backend in (shipping, threads):
-                self._estimator().estimate_many(
-                    polluted.train, polluted.test, candidates, 0.8, backend=backend
-                )
+
+        def sweep(backend):
+            self._estimator().estimate_many(
+                polluted.train, polluted.test, candidates, 0.8, backend=backend
+            )
+
+        shipping = Shipping()
+        sweep(shipping)
         assert shipping.bases and set(shipping.bases) == {None}
-        assert threads.bases and len({id(b) for b in threads.bases}) == 1
-        assert threads.bases[0] is not None
+
+        for backend in (None, SerialBackend()):
+            bases = []
+
+            def recording(task):
+                bases.append(task.base)
+                return run_fit_score_task(task)
+
+            monkeypatch.setattr(estimator_module, "run_fit_score_task", recording)
+            sweep(backend)
+            assert bases and len({id(b) for b in bases}) == 1
+            assert bases[0] is not None
 
 
 class TestCometDeterminism:
@@ -316,18 +299,13 @@ class TestCometDeterminism:
         ) as comet:
             return comet.run()
 
-    def test_thread_trace_bit_identical_to_serial(self, polluted):
-        serial = self._trace(polluted, "serial", 1)
-        threaded = self._trace(polluted, "thread", 4)
-        assert serial == threaded
-
     def test_process_trace_bit_identical_to_serial(self, polluted):
         serial = self._trace(polluted, "serial", 1)
         processed = self._trace(polluted, "process", 2)
         assert serial == processed
 
     def test_backend_attribute_resolution(self, polluted):
-        comet = Comet(polluted, algorithm="lor", backend="thread", jobs=4)
-        assert isinstance(comet.backend, ThreadBackend)
-        fallback = Comet(polluted, algorithm="lor", backend="thread", jobs=1)
+        comet = Comet(polluted, algorithm="lor", backend="process", jobs=4)
+        assert isinstance(comet.backend, ProcessBackend)
+        fallback = Comet(polluted, algorithm="lor", backend="process", jobs=1)
         assert isinstance(fallback.backend, SerialBackend)

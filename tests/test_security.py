@@ -182,7 +182,7 @@ class TestFailClosedPolicy:
 # ---------------------------------------------------------------------- #
 @pytest.fixture
 def service():
-    with CometService(backend="thread", jobs=2, workers=2) as service:
+    with CometService(workers=2) as service:
         yield service
 
 
@@ -277,7 +277,7 @@ class TestTCPAuthMatrix:
 
     def test_unauthorized_requests_consume_no_quota(self):
         quotas = SessionQuotas(max_sessions=1)
-        with CometService(backend="thread", jobs=1, quotas=quotas) as service:
+        with CometService(quotas=quotas) as service:
             server = CometTCPServer(
                 service, security=TransportSecurity(token=TOKEN)
             )

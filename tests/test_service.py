@@ -63,7 +63,7 @@ class TestRegistry:
                 service.close_session("ghost")
 
     def test_close_session_keeps_backend(self):
-        with CometService(backend="thread", jobs=2) as service:
+        with CometService() as service:
             service.create_session("a", _polluted(), **_create_kwargs())
             service.close_session("a")
             assert service.names() == []
@@ -72,7 +72,7 @@ class TestRegistry:
             assert session.backend is service.backend
 
     def test_sessions_share_one_backend(self):
-        with CometService(backend="thread", jobs=2) as service:
+        with CometService(backend="process", jobs=2) as service:
             a = service.create_session("a", _polluted(), **_create_kwargs())
             b = service.create_session("b", _polluted(), **_create_kwargs())
             assert a.backend is service.backend
@@ -133,11 +133,11 @@ class TestJsonHandlers:
             assert reloaded["result"]["iteration"] == 1
 
     def test_status_without_name_lists_sessions(self):
-        with CometService(backend="thread", jobs=2) as service:
+        with CometService() as service:
             service.handle({"action": "create", "name": "s", "params": _PARAMS})
             response = service.handle({"action": "status"})
             assert response["result"]["sessions"] == ["s"]
-            assert response["result"]["backend"] == "thread"
+            assert response["result"]["backend"] == "serial"
 
     def test_errors_become_structured_responses(self):
         with CometService() as service:
@@ -208,7 +208,7 @@ class TestConcurrentSessions:
             Comet(_polluted(seed=ds), **_create_kwargs(rng=rs)).run()
             for ds, rs in seeds
         ]
-        with CometService(backend="thread", jobs=2) as service:
+        with CometService(backend="process", jobs=2) as service:
             sessions = [
                 service.create_session(
                     f"s{i}", _polluted(seed=ds), **_create_kwargs(rng=rs)

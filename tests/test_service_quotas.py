@@ -19,6 +19,7 @@ from repro.service import (
     QuotaExceededError,
     SessionBusyError,
     SessionQuotas,
+    SessionScheduler,
 )
 from repro.session import CleaningSession
 
@@ -229,6 +230,29 @@ class TestScheduler:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             CometService(workers=0)
+
+    def test_jobs_run_off_the_callers_thread(self):
+        # Even one worker runs jobs on its own thread, or "wait": false
+        # could not return before the job finished.
+        scheduler = SessionScheduler(1)
+        try:
+            job = scheduler.submit("s", threading.get_ident)
+            assert scheduler.collect("s", job) != threading.get_ident()
+        finally:
+            scheduler.shutdown()
+
+    def test_submit_after_shutdown_raises_and_starts_no_thread(self):
+        # A verb that passed its session lookup before the service shut
+        # down must get an error, not a fresh pool nothing would reclaim.
+        scheduler = SessionScheduler(2)
+        scheduler.submit("warm", lambda: None).result(timeout=30)
+        scheduler.shutdown()
+        before = set(threading.enumerate())
+        ran = []
+        with pytest.raises(RuntimeError, match="service is shut down"):
+            scheduler.submit("s", lambda: ran.append(True))
+        assert set(threading.enumerate()) <= before
+        assert not ran and scheduler.job("s") is None
 
     def test_single_worker_still_dispatches_async(self):
         with CometService(workers=1) as service:

@@ -52,7 +52,7 @@ def _params(seed=0, **overrides):
 
 @pytest.fixture
 def service():
-    with CometService(backend="thread", jobs=2, workers=2) as service:
+    with CometService(workers=2) as service:
         yield service
 
 

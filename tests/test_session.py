@@ -154,7 +154,7 @@ class TestCheckpointResume:
         # A checkpoint written under one backend resumes identically under
         # another: the backend is engine-side, never part of the state.
         full = _session(polluted).run()
-        interrupted = _session(polluted, backend="thread", jobs=2)
+        interrupted = _session(polluted, backend="process", jobs=2)
         interrupted.step()
         path = tmp_path / "session.ckpt"
         interrupted.save(path)
