@@ -382,6 +382,12 @@ class DistributedBackend(ExecutionBackend):
                 pass
             worker.conn.close()
         if self._listener is not None:
+            # close() alone does not wake the accept loop blocked in
+            # accept(); shutdown() does, so its join below is immediate.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -9,10 +9,14 @@ dependency cycle: the service already builds on ``repro.runtime``.
 
 Helpers come in three groups:
 
-- *frames*: :func:`encode_frame` / :func:`read_frame` /
-  :class:`JSONLineConnection` move whole JSON-object frames with a hard
-  size limit; violations raise :class:`FrameError` (servers render it
-  with :func:`frame_error`, peers treat it as a protocol breach).
+- *frames*: :func:`encode_frame` / :func:`decode_frame` /
+  :func:`read_frame` / :class:`JSONLineConnection` move whole
+  JSON-object frames with a hard size limit; violations raise
+  :class:`FrameError` (the service's request pipeline renders it with
+  :func:`frame_error`, peers treat it as a protocol breach).
+  :func:`decode_frame` is the one JSON decoder of inbound frames: the
+  service's stdio, TCP and HTTP front ends and :func:`read_frame` all
+  go through it.
 - *payloads*: :func:`pickle_to_text` / :func:`text_to_pickle` embed
   binary pickles (tasks, results) in JSON frames via base64.  Only
   exchange pickles with peers that have proven themselves: unpickling
@@ -38,6 +42,7 @@ __all__ = [
     "FrameError",
     "frame_error",
     "encode_frame",
+    "decode_frame",
     "read_frame",
     "JSONLineConnection",
     "pickle_to_text",
@@ -71,6 +76,23 @@ def encode_frame(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+def decode_frame(data: bytes | str) -> dict:
+    """Decode one frame's JSON, which must be an object.
+
+    Raises :class:`FrameError` for invalid JSON and non-object frames.
+    Bytes are read as UTF-8, with undecodable bytes replaced.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    try:
+        frame = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise FrameError(f"invalid JSON frame: {exc}") from None
+    if not isinstance(frame, dict):
+        raise FrameError("frame must be a JSON object")
+    return frame
+
+
 def read_frame(rfile, limit: int = DEFAULT_MAX_FRAME) -> dict | None:
     """Read one frame from a buffered binary reader.
 
@@ -78,8 +100,8 @@ def read_frame(rfile, limit: int = DEFAULT_MAX_FRAME) -> dict | None:
     :class:`FrameError` for oversized or truncated lines, invalid JSON,
     and non-object frames — the caller decides whether that ends the
     connection (peer protocol) or becomes an error response (server
-    protocol, which keeps its own finer-grained loop in
-    ``repro.service.transport``).
+    protocol, whose TCP front end keeps its own loop that drains
+    oversized lines in ``repro.service.transport``).
     """
     line = rfile.readline(limit + 1)
     if not line:
@@ -88,13 +110,7 @@ def read_frame(rfile, limit: int = DEFAULT_MAX_FRAME) -> dict | None:
         raise FrameError(f"frame exceeds {limit} bytes")
     if not line.endswith(b"\n"):
         raise FrameError("truncated frame (EOF before newline)")
-    try:
-        frame = json.loads(line.decode("utf-8", errors="replace"))
-    except json.JSONDecodeError as exc:
-        raise FrameError(f"invalid JSON frame: {exc}") from None
-    if not isinstance(frame, dict):
-        raise FrameError("frame must be a JSON object")
-    return frame
+    return decode_frame(line)
 
 
 class JSONLineConnection:

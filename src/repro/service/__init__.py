@@ -9,11 +9,14 @@ dispatching their estimation sweeps through a single shared
 
 Iteration verbs run on a bounded :class:`SessionScheduler` worker pool
 keyed by session, per-session budgets (:class:`SessionQuotas`) are
-enforced at the verb layer, and three transports carry the verbs: the
-JSON-lines stream loop (CLI ``serve`` on stdio), the line-delimited-JSON
-:class:`CometTCPServer` (CLI ``serve --port``), and the minimal
-:class:`CometHTTPServer` adapter (``serve --port --http``).
-:class:`CometClient` is the programmatic TCP client.
+enforced at the verb layer, and three front ends carry the verbs through
+one request pipeline (decode, auth and shutdown gate, dispatch, encode):
+the JSON-lines stream loop :func:`serve_stream` (CLI ``serve`` on
+stdio), the line-delimited-JSON :class:`CometTCPServer` (CLI ``serve
+--port``), and the minimal :class:`CometHTTPServer` adapter (``serve
+--port --http``). They differ only in I/O: how a peer authenticates and
+how HTTP maps replies to status codes. :class:`CometClient` is the
+programmatic TCP client.
 
 The networked transports take a
 :class:`~repro.security.TransportSecurity` (shared-token HMAC auth +
@@ -29,25 +32,19 @@ from repro.service.quotas import (
     UnauthorizedError,
 )
 from repro.service.scheduler import SessionScheduler
-from repro.service.service import (
-    CometService,
-    dispatch_line,
-    parse_request,
-    serve_stream,
-)
+from repro.service.service import CometService
 from repro.service.transport import (
     CometClient,
     CometClientError,
     CometConnectionError,
     CometHTTPServer,
     CometTCPServer,
+    serve_stream,
 )
 
 __all__ = [
     "CometService",
     "serve_stream",
-    "dispatch_line",
-    "parse_request",
     "SessionScheduler",
     "SessionQuotas",
     "ServiceError",

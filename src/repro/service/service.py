@@ -27,14 +27,14 @@ outcome later with ``result``. Per-session budgets
 layer and surface as structured JSON errors. Failures are rendered as
 ``{"ok": false, "error": {"type", "message", "code"?, "details"?}}``.
 
-Transports: :func:`serve_stream` wires the verbs to a JSON-lines stream
-(the CLI's stdio mode); ``repro.service.transport`` adds the TCP and
-HTTP servers plus the :class:`~repro.service.transport.CometClient`.
+Front ends live in ``repro.service.transport``: one request pipeline
+(decode, auth and shutdown gate, dispatch to :meth:`CometService.handle`,
+encode) behind the stdio loop, the TCP and HTTP servers, plus the
+:class:`~repro.service.transport.CometClient`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,7 +48,7 @@ from repro.service.scheduler import SessionScheduler
 from repro.session import CleaningSession, SessionObserver, SessionState
 from repro.store import SessionStore
 
-__all__ = ["CometService", "serve_stream", "dispatch_line", "parse_request"]
+__all__ = ["CometService"]
 
 
 @dataclass
@@ -701,78 +701,3 @@ def _required(mapping: dict, key: str):
     if value is None:
         raise ValueError(f"missing required field {key!r}")
     return value
-
-
-def parse_request(text: str) -> tuple[dict | None, dict | None]:
-    """Decode one line-delimited JSON request.
-
-    Returns ``(request, None)`` for a valid JSON-object request, or
-    ``(None, error_response)`` for invalid JSON / non-object frames —
-    the shared first stage of every transport, split out so transports
-    that gate requests (authentication, shutdown policy) can act
-    between parsing and dispatch.
-    """
-    try:
-        request = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, {
-            "ok": False,
-            "error": {
-                "type": "JSONDecodeError",
-                "message": f"invalid JSON: {exc}",
-                "code": "bad_frame",
-            },
-        }
-    if not isinstance(request, dict):
-        return None, {
-            "ok": False,
-            "error": {
-                "type": "TypeError",
-                "message": "request must be a JSON object",
-                "code": "bad_frame",
-            },
-        }
-    return request, None
-
-
-def dispatch_line(
-    service: CometService, text: str, *, client: str = "local"
-) -> tuple[dict, bool]:
-    """Decode one line-delimited JSON request and dispatch it.
-
-    The shared framing of the trusted transports (stdio, programmatic):
-    invalid JSON and non-object requests become structured error
-    responses instead of terminating the serving loop. Returns
-    ``(response, stop)`` where ``stop`` is True for the stream-level
-    ``shutdown`` verb. The TCP/HTTP transports use :func:`parse_request`
-    directly so authentication and shutdown policy run between parsing
-    and dispatch.
-    """
-    request, error = parse_request(text)
-    if error is not None:
-        return error, False
-    if request.get("action") == "shutdown":
-        return {"ok": True, "result": {"shutdown": True}}, True
-    return service.handle(request, client=client), False
-
-
-def serve_stream(service: CometService, in_stream, out_stream) -> int:
-    """Serve JSON-lines requests from ``in_stream`` until EOF or shutdown.
-
-    One JSON request per line in, one JSON response per line out. Blank
-    lines are skipped; invalid JSON yields an error response rather than
-    terminating the loop. The extra stream-level verb ``shutdown`` stops
-    serving (the CLI's ``serve`` subcommand builds on this). Returns the
-    number of requests handled.
-    """
-    handled = 0
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        response, stop = dispatch_line(service, line)
-        print(json.dumps(response), file=out_stream, flush=True)
-        handled += 1
-        if stop:
-            break
-    return handled

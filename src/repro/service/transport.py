@@ -1,18 +1,29 @@
-"""Network transports for :class:`~repro.service.CometService`.
+"""Front ends for :class:`~repro.service.CometService`: one request
+pipeline behind stdio, TCP and HTTP.
 
 Everything here is stdlib-only and speaks the same verbs as the
 in-process ``handle`` — a networked trace is bit-identical to an
 in-process one because the transport only moves JSON, never touches
 session state.
 
-- :class:`CometTCPServer` — line-delimited JSON over TCP: one request
-  per line in, one response per line out, many concurrent connections
-  (``socketserver.ThreadingTCPServer``). Malformed, oversized, and
-  truncated frames come back as structured error responses; only a
-  vanished peer ends a connection.
-- :class:`CometHTTPServer` — a minimal HTTP/1.1 adapter for
-  curl/browser clients: ``POST /rpc`` with a full request object,
-  ``POST /<verb>`` with the verb's fields, ``GET /status[/<name>]``.
+:class:`RequestPipeline` is the one place a request is decoded
+(:func:`~repro.runtime.wire.decode_frame`), gated for auth, checked
+against the ``shutdown`` policy, dispatched to ``service.handle`` and
+encoded. It returns the response and what the connection does next
+(:data:`CONTINUE`, :data:`CLOSE` or :data:`STOP`). The front ends keep
+only their I/O:
+
+- :func:`serve_stream` — a JSON-lines loop over a trusted text stream
+  (the CLI's stdio ``serve``).
+- :class:`CometTCPServer` — line-delimited JSON over TCP, one handler
+  thread per connection: TLS handshake, idle timeout, and the frame
+  limit (an oversized frame is drained and answered; a truncated one is
+  answered, then the connection closes).
+- :class:`CometHTTPServer` — a minimal HTTP/1.1 adapter: ``POST /rpc``
+  with a full request object, ``POST /<verb>`` with the verb's fields
+  (the path's verb wins over a body ``action``), ``GET
+  /status[/<name>]``; it keeps routing, the bearer check, the
+  Content-Length limits and the HTTP status codes.
 - :class:`CometClient` — a small programmatic client for the TCP
   transport; verb methods unwrap ``result`` or raise
   :class:`CometClientError` carrying the server's structured error.
@@ -20,39 +31,37 @@ session state.
 Both servers take a :class:`~repro.security.TransportSecurity`: with a
 shared token configured, TCP connections must pass an HMAC
 challenge–response (the transport-level ``auth`` verb) and HTTP
-requests an ``Authorization: Bearer`` check *before any verb is
-dispatched* — unauthorized requests never consume quota or touch the
-scheduler, they get the structured ``code: "unauthorized"`` error. A
-TLS certificate wraps every accepted connection at the socket layer
-(the JSON framing above it is unchanged).
+requests an ``Authorization: Bearer`` check, made before the body is
+read. No verb is dispatched before auth succeeds: unauthorized requests
+never consume quota or touch the scheduler, they get the structured
+``code: "unauthorized"`` error. A TLS certificate wraps every accepted
+connection at the socket layer (the JSON framing above it is unchanged).
 
-Both servers honor the stream-level ``shutdown`` verb (``POST
-/shutdown`` over HTTP): the response is sent, then ``serve_forever``
-returns — which is how the CLI's ``serve --port`` terminates cleanly
-from a remote request. On an unauthenticated server the verb is
-accepted only from loopback peers (``allow_remote_shutdown`` opts out);
-with auth enabled it requires a valid token like every other verb.
-Quota accounting keys on the peer host, so every connection from one
-machine shares that client's session allowance.
+The stream-level ``shutdown`` verb (also ``POST /shutdown``) is
+answered, then serving stops — which is how the CLI's ``serve --port``
+terminates cleanly from a remote request. On an unauthenticated server
+it is accepted only from loopback peers (``allow_remote_shutdown`` opts
+out); with auth enabled it requires a valid token like every other
+verb. Quota accounting keys on the peer host.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import socketserver
 import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote
 
-# The line-delimited-JSON framing lives in the runtime layer
-# (``repro.runtime.wire``) so the distributed execution backend speaks
-# the same format; this module reuses the helpers and keeps only the
-# server-side frame-recovery logic (drain, keep-alive) that is specific
-# to serving untrusted request streams.
-from repro.runtime.wire import DEFAULT_MAX_FRAME, encode_frame
-from repro.runtime.wire import frame_error as _frame_error
+from repro.runtime.wire import (
+    DEFAULT_MAX_FRAME,
+    FrameError,
+    decode_frame,
+    encode_frame,
+    frame_error,
+)
 from repro.security import (
     ROLE_CLIENT,
     TransportSecurity,
@@ -61,9 +70,12 @@ from repro.security import (
     new_nonce,
 )
 from repro.service.quotas import ServiceError, UnauthorizedError, error_payload
-from repro.service.service import CometService, parse_request
+from repro.service.service import CometService
 
 __all__ = [
+    "RequestPipeline",
+    "Gate",
+    "serve_stream",
     "CometTCPServer",
     "CometHTTPServer",
     "CometClient",
@@ -72,10 +84,28 @@ __all__ = [
     "DEFAULT_MAX_FRAME",
 ]
 
+#: What a connection does after a reply: read on, close, or close and
+#: stop the server.
+CONTINUE, CLOSE, STOP = "continue", "close", "stop"
 
-def _unauthorized_response(message: str, **details) -> dict:
-    """The structured error an unauthorized request gets."""
-    return {"ok": False, "error": error_payload(UnauthorizedError(message, **details))}
+#: What an unauthenticated peer is told, by the mechanism that admits it.
+_REFUSALS = {
+    "hmac-sha256": "this server requires authentication; complete the 'auth' "
+    "challenge-response first (CometClient(..., auth_token=...))",
+    "bearer": "missing or invalid Authorization header; send "
+    "'Authorization: Bearer <token>'",
+}
+
+_SHUTDOWN_REFUSAL = (
+    "the shutdown verb is restricted to loopback peers on an "
+    "unauthenticated server; restart with --auth-token or "
+    "--allow-remote-shutdown to enable remote shutdown"
+)
+
+#: How often ``serve_forever`` looks for a shutdown request: the longest
+#: ``shutdown()`` (and so the ``shutdown`` verb) waits for the accept
+#: loop to stop. The stdlib default is 0.5 s.
+_SHUTDOWN_POLL_S = 0.05
 
 #: Verbs the HTTP adapter exposes as ``POST /<verb>``.
 _HTTP_VERBS = (
@@ -87,36 +117,367 @@ _HTTP_VERBS = (
     "result",
     "checkpoint",
     "close",
+    "shutdown",
 )
 
 
-class _CometServerMixin:
-    """Shared lifecycle of both networked servers (TCP and HTTP).
+def _unauthorized(message: str, **details) -> dict:
+    return {"ok": False, "error": error_payload(UnauthorizedError(message, **details))}
 
-    Expects to precede a ``socketserver.BaseServer`` subclass in the
-    MRO; holds the service reference, frame limit, address accessors,
-    and the two shutdown/backgrounding helpers.
+
+def _reply(response: dict, then: str = CONTINUE) -> tuple[dict, bytes, str]:
+    return response, encode_frame(response), then
+
+
+def _bad_frame(message: str, then: str = CONTINUE) -> tuple[dict, bytes, str]:
+    """The reply to a frame that never became a request."""
+    return _reply(frame_error(message), then)
+
+
+class Gate:
+    """One connection's standing: its ``peer`` (the quota identity),
+    whether it is ``authed``, and how it gets in — ``"hmac-sha256"``
+    (the TCP ``auth`` verb; ``nonce`` is the outstanding challenge),
+    ``"bearer"`` (checked by the HTTP adapter) or ``None`` (trusted)."""
+
+    __slots__ = ("peer", "authed", "mechanism", "nonce")
+
+    def __init__(self, peer: str, authed: bool = True, mechanism: str | None = None):
+        self.peer, self.authed, self.mechanism = peer, authed, mechanism
+        self.nonce: str | None = None
+
+
+class RequestPipeline:
+    """Decode, auth-gate, shutdown-gate, dispatch and encode one request.
+
+    :meth:`process` takes a raw frame (``bytes``/``str``) or a request
+    object plus the connection's :class:`Gate`, and returns ``(response,
+    encoded frame, then)``. ``service.handle`` is looked up per request,
+    so a wrapper patched onto the class or the instance sees every call.
     """
 
     def __init__(
         self,
         service: CometService,
-        address: tuple[str, int],
-        handler,
+        security: TransportSecurity | None = None,
+        allow_remote_shutdown: bool = False,
+    ) -> None:
+        self.service = service
+        self.security = security
+        self.requires_auth = security is not None and security.requires_auth
+        self.allow_remote_shutdown = allow_remote_shutdown
+
+    def process(
+        self, frame: bytes | str | dict, gate: Gate, action: str | None = None
+    ) -> tuple[dict, bytes, str]:
+        """Answer one request; ``action``, when given, overrides the frame's."""
+        try:
+            request = frame if isinstance(frame, dict) else decode_frame(frame)
+        except FrameError as exc:
+            return _bad_frame(str(exc))
+        if action is not None:
+            request = {**request, "action": action}
+        verb = request.get("action")
+        if verb == "auth" and gate.mechanism == "hmac-sha256":
+            return self._auth(request, gate)
+        if not gate.authed:
+            # No verb is dispatched, no quota consumed, no pickle
+            # decoded: the request dies here.
+            return _reply(
+                _unauthorized(_REFUSALS[gate.mechanism], mechanism=gate.mechanism)
+            )
+        if verb == "shutdown":
+            if not (
+                gate.mechanism is None  # the trusted stdio peer
+                or self.requires_auth  # reaching here took a valid token
+                or self.allow_remote_shutdown
+                or is_loopback_host(gate.peer)
+            ):
+                return _reply(_unauthorized(_SHUTDOWN_REFUSAL))
+            return _reply({"ok": True, "result": {"shutdown": True}}, STOP)
+        return _reply(self.service.handle(request, client=gate.peer))
+
+    def _auth(self, request: dict, gate: Gate) -> tuple[dict, bytes, str]:
+        """One step of the TCP ``auth`` verb.
+
+        Two-frame HMAC challenge–response: ``{"action": "auth"}`` yields
+        a single-use nonce; ``{"action": "auth", "mac": HMAC(token,
+        nonce)}`` proves possession of the shared token without it ever
+        crossing the wire. A failed proof closes the connection, so each
+        retry costs the peer a reconnect.
+        """
+        if not self.requires_auth:
+            return _reply(
+                {"ok": True, "result": {"authenticated": True, "required": False}}
+            )
+        mac = request.get("mac")
+        if mac is None:
+            gate.nonce = new_nonce()
+            return _reply(
+                {"ok": True, "result": {"nonce": gate.nonce, "mechanism": "hmac-sha256"}}
+            )
+        nonce, gate.nonce = gate.nonce, None
+        if nonce is not None and self.security.check_mac(ROLE_CLIENT, nonce, mac):
+            gate.authed = True
+            return _reply({"ok": True, "result": {"authenticated": True}})
+        message = (
+            "invalid auth credential"
+            if nonce is not None
+            else "no challenge outstanding; request one with {'action': 'auth'}"
+        )
+        return _reply(_unauthorized(message), CLOSE)
+
+
+def serve_stream(service: CometService, in_stream, out_stream) -> int:
+    """Serve JSON-lines requests from ``in_stream`` until EOF or shutdown.
+
+    One JSON request per line in, one compact JSON response per line
+    out, through the same :class:`RequestPipeline` as the networked
+    front ends (the stdio peer is trusted). Blank lines are skipped; bad
+    frames get an error response; ``shutdown`` stops serving. Returns
+    the number of requests handled.
+    """
+    pipeline, gate = RequestPipeline(service), Gate("local")
+    handled = 0
+    for line in in_stream:
+        if not line.strip():
+            continue
+        _, frame, then = pipeline.process(line, gate)
+        out_stream.write(frame.decode("utf-8"))
+        out_stream.flush()
+        handled += 1
+        if then is STOP:
+            break
+    return handled
+
+
+class _ConnectionMixin:
+    """What both handlers do before their protocol: bound every read by
+    the server's idle timeout, and run the deferred TLS handshake here,
+    in the connection's thread, not in the accept loop."""
+
+    def setup(self) -> None:  # noqa: D102 — socketserver hook
+        # StreamRequestHandler applies ``self.timeout`` to the socket; a
+        # peer silent past it gets its socket closed, so silent
+        # connections cannot pin handler threads forever.
+        self.timeout = self.server.conn_timeout
+        super().setup()
+
+    def handshake(self) -> bool:
+        """False when the peer does not speak TLS (or stalled past timeout)."""
+        if isinstance(self.connection, ssl.SSLSocket):
+            try:
+                self.connection.do_handshake()
+            except (ssl.SSLError, OSError):
+                return False
+        return True
+
+
+# ---------------------------------------------------------------------- #
+# TCP: line-delimited JSON
+# ---------------------------------------------------------------------- #
+class _TCPHandler(_ConnectionMixin, socketserver.StreamRequestHandler):
+    """One connection: JSON lines through the pipeline, one write plus
+    flush per reply. The connection's auth state is its :class:`Gate`."""
+
+    def handle(self) -> None:  # noqa: D102 — socketserver hook
+        limit = self.server.max_frame
+        pipeline = self.server.pipeline
+        if not self.handshake():
+            return
+        gate = Gate(self.client_address[0], not pipeline.requires_auth, "hmac-sha256")
+        while True:
+            try:
+                line = self.rfile.readline(limit + 1)
+            except OSError:
+                return  # peer vanished mid-read, or idled past conn_timeout
+            if not line:
+                return  # clean EOF between frames
+            if len(line) > limit:
+                # Drop the rest of the oversized line — unless readline
+                # already returned a complete line (frame of exactly
+                # limit+1 bytes), where draining would eat the client's
+                # *next* request. EOF mid-drain closes after the reply.
+                drained = line.endswith(b"\n") or self._drain_line(limit)
+                reply = _bad_frame(
+                    f"frame exceeds {limit} bytes", CONTINUE if drained else CLOSE
+                )
+            elif not line.endswith(b"\n"):
+                reply = _bad_frame("truncated frame (EOF before newline)", CLOSE)
+            elif line.isspace():
+                continue
+            else:
+                reply = pipeline.process(line, gate)
+            _, frame, then = reply
+            try:
+                self.wfile.write(frame)
+                self.wfile.flush()
+            except OSError:
+                return
+            if then is not CONTINUE:
+                if then is STOP:
+                    self.server.request_shutdown()
+                return
+
+    def _drain_line(self, limit: int) -> bool:
+        """Consume the oversized frame up to its newline; False when EOF
+        arrives first (the frame was also truncated)."""
+        try:
+            while chunk := self.rfile.readline(limit + 1):
+                if chunk.endswith(b"\n"):
+                    return True
+        except OSError:
+            pass
+        return False
+
+
+# ---------------------------------------------------------------------- #
+# HTTP/1.1 adapter
+# ---------------------------------------------------------------------- #
+class _HTTPHandler(_ConnectionMixin, BaseHTTPRequestHandler):
+    """Maps a tiny URL surface onto the pipeline.
+
+    Keeps routing, the bearer check before any body read, the
+    Content-Length limits and the status codes. A reply that leaves a
+    body unread carries ``Connection: close``: a kept-alive connection
+    would parse that body as the next request.
+    """
+
+    protocol_version = "HTTP/1.1"
+    server: "CometHTTPServer"
+
+    def handle(self) -> None:  # noqa: D102 — http.server hook
+        if self.handshake():
+            super().handle()
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass  # request logging is the operator's concern, not stderr's
+
+    def _gate(self) -> Gate | None:
+        """The request's gate, or None after the pipeline's refusal was
+        sent as a 401 — before the body is read, so nothing is parsed,
+        dispatched, or counted against quotas."""
+        pipeline = self.server.pipeline
+        authed = not pipeline.requires_auth or pipeline.security.check_bearer(
+            self.headers.get("Authorization")
+        )
+        gate = Gate(self.client_address[0], authed, "bearer")
+        if authed:
+            return gate
+        self.close_connection = True
+        self._send(pipeline.process({}, gate), 401)
+        return None
+
+    def _send(self, reply: tuple[dict, bytes, str], status: int | None = None) -> None:
+        response, body, then = reply
+        if status is None:
+            # Past the bearer gate, "unauthorized" is the shutdown policy.
+            status = (
+                200 if response["ok"]
+                else 403 if response["error"].get("code") == "unauthorized"
+                else 400
+            )
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        if then is STOP:
+            self.server.request_shutdown()
+
+    def _read_body(self) -> bytes | None:
+        """The raw body (``{}`` when empty), or None after an error was
+        sent; every error closes the connection."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length == 0:
+            return b"{}"
+        if length < 0:
+            status, error = 400, "Content-Length must be a non-negative integer"
+        elif length > self.server.max_frame:
+            status, error = 413, f"frame exceeds {self.server.max_frame} bytes"
+        else:
+            raw = self.rfile.read(length)
+            if len(raw) == length:
+                return raw
+            status, error = 400, "truncated body"
+        self.close_connection = True
+        self._send(_bad_frame(error), status)
+        return None
+
+    def _path(self) -> list[str]:
+        return [unquote(p) for p in self.path.split("?")[0].split("/") if p]
+
+    def do_GET(self) -> None:  # noqa: N802 — http.server naming
+        gate = self._gate()
+        if gate is None:
+            return
+        parts = self._path()
+        if parts[:1] == ["status"] and len(parts) <= 2:
+            request = {"action": "status"}
+            if len(parts) == 2:
+                request["name"] = parts[1]
+            self._send(self.server.pipeline.process(request, gate))
+            return
+        self._send(
+            _bad_frame(f"unknown path {self.path!r}; GET serves /status[/<name>]"), 404
+        )
+
+    def do_POST(self) -> None:  # noqa: N802 — http.server naming
+        gate = self._gate()
+        if gate is None:
+            return
+        parts = self._path()
+        body = self._read_body()
+        if body is None:
+            return
+        if parts == ["rpc"]:
+            self._send(self.server.pipeline.process(body, gate))
+        elif len(parts) == 1 and parts[0] in _HTTP_VERBS:
+            self._send(self.server.pipeline.process(body, gate, parts[0]))
+        else:
+            verbs = "|/".join(_HTTP_VERBS)
+            message = f"unknown path {self.path!r}; POST serves /rpc and /{verbs}"
+            self._send(_bad_frame(message), 404)
+
+
+# ---------------------------------------------------------------------- #
+# servers
+# ---------------------------------------------------------------------- #
+class _CometServer:
+    """Shared construction and lifecycle of both networked servers.
+
+    Precedes a ``socketserver.BaseServer`` subclass in the MRO. Each
+    connection gets its own handler thread, so a connection blocked in a
+    synchronous ``run`` never delays another connection's ``status`` —
+    and ``"wait": false`` keeps even a single connection responsive.
+    Bind to port 0 for an ephemeral port (read it back from
+    :attr:`port`).
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+    _handler: type
+    _thread_name: str
+
+    def __init__(
+        self,
+        service: CometService,
+        address: tuple[str, int] = ("127.0.0.1", 0),
         *,
-        max_frame: int,
-        thread_name: str,
+        max_frame: int = DEFAULT_MAX_FRAME,
         security: TransportSecurity | None = None,
         conn_timeout: float | None = None,
         allow_remote_shutdown: bool = False,
     ) -> None:
-        super().__init__(address, handler)
-        self.service = service
+        super().__init__(address, self._handler)
+        self.pipeline = RequestPipeline(service, security, allow_remote_shutdown)
         self.max_frame = max_frame
-        self.security = security
         self.conn_timeout = conn_timeout
-        self.allow_remote_shutdown = allow_remote_shutdown
-        self._thread_name = thread_name
 
     @property
     def host(self) -> str:
@@ -134,21 +495,15 @@ class _CometServerMixin:
         per-connection handler thread performs it.
         """
         sock, addr = super().get_request()
-        if self.security is not None and self.security.serves_tls:
-            sock = self.security.wrap_server(sock)
+        security = self.pipeline.security
+        if security is not None and security.serves_tls:
+            sock = security.wrap_server(sock)
         return sock, addr
 
-    def shutdown_allowed(self, client_host: str) -> bool:
-        """Whether a ``shutdown`` request from ``client_host`` may stop us.
-
-        With auth enabled, reaching the verb already required a valid
-        token, so any authenticated caller qualifies. Without auth, only
-        loopback peers may stop the server unless
-        ``allow_remote_shutdown`` opts remote peers in.
-        """
-        if self.security is not None and self.security.requires_auth:
-            return True
-        return self.allow_remote_shutdown or is_loopback_host(client_host)
+    def serve_forever(self, poll_interval: float = _SHUTDOWN_POLL_S) -> None:
+        """Accept connections until :meth:`shutdown`; ``poll_interval``
+        bounds how long a shutdown request waits."""
+        super().serve_forever(poll_interval)
 
     def request_shutdown(self) -> None:
         """Stop ``serve_forever`` without joining the caller's thread."""
@@ -163,411 +518,26 @@ class _CometServerMixin:
         return thread
 
 
-# ---------------------------------------------------------------------- #
-# TCP: line-delimited JSON
-# ---------------------------------------------------------------------- #
-class _TCPHandler(socketserver.StreamRequestHandler):
-    """One connection: a loop of JSON lines, resilient to bad frames.
+class CometTCPServer(_CometServer, socketserver.ThreadingTCPServer):
+    """Line-delimited-JSON TCP transport over one :class:`CometService`."""
 
-    The connection-level state the handler threads through the loop:
-
-    - an **idle timeout** (``server.conn_timeout``): a peer silent past
-      it gets its socket closed cleanly, so silent connections cannot
-      pin ``ThreadingTCPServer`` handler threads forever;
-    - the **TLS handshake**, performed here (not in the accept loop)
-      when the server wraps connections;
-    - the **auth state**: with a token configured, the connection starts
-      unauthenticated and must complete the ``auth`` challenge–response
-      before any service verb is dispatched.
-    """
-
-    def setup(self) -> None:  # noqa: D102 — socketserver hook
-        # StreamRequestHandler applies ``self.timeout`` to the socket;
-        # shadow the class attribute with the server's idle timeout so
-        # every read (including the TLS handshake) is bounded by it.
-        self.timeout = self.server.conn_timeout  # type: ignore[attr-defined]
-        super().setup()
-
-    def handle(self) -> None:  # noqa: D102 — socketserver hook
-        server: CometTCPServer = self.server  # type: ignore[assignment]
-        client = self.client_address[0]
-        limit = server.max_frame
-        security = server.security
-        if isinstance(self.connection, ssl.SSLSocket):
-            try:
-                self.connection.do_handshake()
-            except (ssl.SSLError, OSError):
-                return  # peer does not speak TLS (or stalled past timeout)
-        authed = security is None or not security.requires_auth
-        nonce: str | None = None
-        while True:
-            try:
-                line = self.rfile.readline(limit + 1)
-            except (ConnectionError, OSError):
-                return  # peer vanished mid-read, or idled past conn_timeout
-            if not line:
-                return  # clean EOF between frames
-            if len(line) > limit:
-                # Drop the rest of the oversized line — unless readline
-                # already returned a complete line (frame of exactly
-                # limit+1 bytes), where draining would eat the client's
-                # *next* request. EOF mid-drain closes after the reply.
-                drained = line.endswith(b"\n") or self._drain_line(limit)
-                if not self._reply(_frame_error(f"frame exceeds {limit} bytes")):
-                    return
-                if not drained:
-                    return
-                continue
-            if not line.endswith(b"\n"):
-                # EOF in the middle of a frame: report, then close.
-                self._reply(_frame_error("truncated frame (EOF before newline)"))
-                return
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            request, error = parse_request(text)
-            if error is not None:
-                if not self._reply(error):
-                    return
-                continue
-            action = request.get("action")
-            if action == "auth":
-                response, authed, nonce, close_after = self._auth_exchange(
-                    security, request, authed, nonce
-                )
-                if not self._reply(response) or close_after:
-                    return
-                continue
-            if not authed:
-                # No verb is dispatched, no quota consumed, no pickle
-                # decoded: the request dies at the transport layer.
-                response = _unauthorized_response(
-                    "this server requires authentication; complete the "
-                    "'auth' challenge-response first "
-                    "(CometClient(..., auth_token=...))",
-                    mechanism="hmac-sha256",
-                )
-                if not self._reply(response):
-                    return
-                continue
-            if action == "shutdown":
-                if not server.shutdown_allowed(client):
-                    response = _unauthorized_response(
-                        "the shutdown verb is restricted to loopback peers "
-                        "on an unauthenticated server; restart with "
-                        "--auth-token or --allow-remote-shutdown to enable "
-                        "remote shutdown"
-                    )
-                    if not self._reply(response):
-                        return
-                    continue
-                if not self._reply({"ok": True, "result": {"shutdown": True}}):
-                    return
-                server.request_shutdown()
-                return
-            if not self._reply(server.service.handle(request, client=client)):
-                return
-
-    def _auth_exchange(
-        self,
-        security: TransportSecurity | None,
-        request: dict,
-        authed: bool,
-        nonce: str | None,
-    ) -> tuple[dict, bool, str | None, bool]:
-        """One step of the transport-level ``auth`` verb.
-
-        Two-frame HMAC challenge–response: ``{"action": "auth"}`` yields
-        a single-use nonce; ``{"action": "auth", "mac": HMAC(token,
-        nonce)}`` proves possession of the shared token without it ever
-        crossing the wire. Returns ``(response, authed, nonce, close)``
-        — a failed proof closes the connection, so each retry costs the
-        peer a reconnect.
-        """
-        if security is None or not security.requires_auth:
-            return (
-                {"ok": True, "result": {"authenticated": True, "required": False}},
-                True,
-                None,
-                False,
-            )
-        mac = request.get("mac")
-        if mac is None:
-            nonce = new_nonce()
-            return (
-                {"ok": True, "result": {"nonce": nonce, "mechanism": "hmac-sha256"}},
-                authed,
-                nonce,
-                False,
-            )
-        if nonce is not None and security.check_mac(ROLE_CLIENT, nonce, mac):
-            return ({"ok": True, "result": {"authenticated": True}}, True, None, False)
-        message = (
-            "invalid auth credential"
-            if nonce is not None
-            else "no challenge outstanding; request one with {'action': 'auth'}"
-        )
-        return (_unauthorized_response(message), authed, None, True)
-
-    def _drain_line(self, limit: int) -> bool:
-        """Consume the oversized frame up to its newline.
-
-        Returns False when EOF arrives first (the frame was also
-        truncated — the connection is done after the error reply).
-        """
-        while True:
-            try:
-                chunk = self.rfile.readline(limit + 1)
-            except (ConnectionError, OSError):
-                return False
-            if not chunk:
-                return False
-            if chunk.endswith(b"\n"):
-                return True
-
-    def _reply(self, response: dict) -> bool:
-        try:
-            self.wfile.write(encode_frame(response))
-            self.wfile.flush()
-            return True
-        except (ConnectionError, OSError):
-            return False
+    _handler = _TCPHandler
+    _thread_name = "comet-tcp-server"
 
 
-class CometTCPServer(_CometServerMixin, socketserver.ThreadingTCPServer):
-    """Line-delimited-JSON TCP transport over one :class:`CometService`.
-
-    Each connection gets its own handler thread, so a connection blocked
-    in a synchronous ``run`` never delays another connection's
-    ``status`` — and ``"wait": false`` keeps even a single connection
-    responsive. Bind to port 0 for an ephemeral port (read it back from
-    :attr:`port`).
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self,
-        service: CometService,
-        address: tuple[str, int] = ("127.0.0.1", 0),
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        security: TransportSecurity | None = None,
-        conn_timeout: float | None = None,
-        allow_remote_shutdown: bool = False,
-    ) -> None:
-        super().__init__(
-            service,
-            address,
-            _TCPHandler,
-            max_frame=max_frame,
-            thread_name="comet-tcp-server",
-            security=security,
-            conn_timeout=conn_timeout,
-            allow_remote_shutdown=allow_remote_shutdown,
-        )
-
-
-# ---------------------------------------------------------------------- #
-# HTTP/1.1 adapter
-# ---------------------------------------------------------------------- #
-class _HTTPHandler(BaseHTTPRequestHandler):
-    """Maps a tiny URL surface onto the service verbs."""
-
-    protocol_version = "HTTP/1.1"
-    server: "CometHTTPServer"
-
-    # -- plumbing ------------------------------------------------------- #
-    def setup(self) -> None:  # noqa: D102 — socketserver hook
-        # The server's idle timeout bounds every read on this connection
-        # (keep-alive waits included); http.server turns a timed-out
-        # read into a clean connection close.
-        self.timeout = self.server.conn_timeout
-        super().setup()
-
-    def handle(self) -> None:  # noqa: D102 — http.server hook
-        if isinstance(self.connection, ssl.SSLSocket):
-            try:
-                self.connection.do_handshake()
-            except (ssl.SSLError, OSError):
-                self.close_connection = True
-                return  # peer does not speak TLS
-        super().handle()
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # request logging is the operator's concern, not stderr's
-
-    def _authorized(self) -> bool:
-        """Bearer-token gate, applied before any verb or body handling.
-
-        An unauthorized request gets the structured 401 without its body
-        ever being read (so nothing is parsed, dispatched, or counted
-        against quotas) — and the connection closes, because the unread
-        body would desynchronize keep-alive.
-        """
-        security = self.server.security
-        if security is None or not security.requires_auth:
-            return True
-        if security.check_bearer(self.headers.get("Authorization")):
-            return True
-        self.close_connection = True
-        self._send_json(
-            401,
-            _unauthorized_response(
-                "missing or invalid Authorization header; send "
-                "'Authorization: Bearer <token>'",
-                mechanism="bearer",
-            ),
-        )
-        return False
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            # Set by the body-error paths: the request body was never
-            # consumed, so a kept-alive connection would parse it as
-            # the next request. Announce the close we are about to do.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_response(self, response: dict) -> None:
-        self._send_json(200 if response.get("ok") else 400, response)
-
-    def _read_body(self) -> dict | None:
-        """The JSON object body, or None after an error was sent."""
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # The body (of unknowable size) stays unread: close the
-            # connection rather than parse it as the next request.
-            self.close_connection = True
-            self._send_json(
-                400,
-                _frame_error("Content-Length must be a non-negative integer"),
-            )
-            return None
-        if length > self.server.max_frame:
-            self.close_connection = True  # oversized body stays unread
-            self._send_json(
-                413, _frame_error(f"frame exceeds {self.server.max_frame} bytes")
-            )
-            return None
-        raw = self.rfile.read(length) if length else b"{}"
-        if len(raw) < length:
-            self.close_connection = True  # stream already desynchronized
-            self._send_json(400, _frame_error("truncated body"))
-            return None
-        try:
-            body = json.loads(raw.decode("utf-8", errors="replace") or "{}")
-        except json.JSONDecodeError as exc:
-            self._send_json(400, _frame_error(f"invalid JSON: {exc}"))
-            return None
-        if not isinstance(body, dict):
-            self._send_json(400, _frame_error("request body must be a JSON object"))
-            return None
-        return body
-
-    def _handle(self, request: dict) -> None:
-        response = self.server.service.handle(
-            request, client=self.client_address[0]
-        )
-        self._send_response(response)
-
-    # -- methods -------------------------------------------------------- #
-    def do_GET(self) -> None:  # noqa: N802 — http.server naming
-        if not self._authorized():
-            return
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if parts and parts[0] == "status" and len(parts) <= 2:
-            request: dict = {"action": "status"}
-            if len(parts) == 2:
-                request["name"] = parts[1]
-            self._handle(request)
-            return
-        self._send_json(
-            404,
-            _frame_error(
-                f"unknown path {self.path!r}; GET serves /status[/<name>]"
-            ),
-        )
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server naming
-        if not self._authorized():
-            return
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        body = self._read_body()
-        if body is None:
-            return
-        if parts == ["shutdown"]:
-            if not self.server.shutdown_allowed(self.client_address[0]):
-                self._send_json(
-                    403,
-                    _unauthorized_response(
-                        "POST /shutdown is restricted to loopback peers on "
-                        "an unauthenticated server; restart with "
-                        "--auth-token or --allow-remote-shutdown to enable "
-                        "remote shutdown"
-                    ),
-                )
-                return
-            self._send_json(200, {"ok": True, "result": {"shutdown": True}})
-            self.server.request_shutdown()
-            return
-        if parts == ["rpc"]:
-            self._handle(body)
-            return
-        if len(parts) == 1 and parts[0] in _HTTP_VERBS:
-            self._handle({"action": parts[0], **body})
-            return
-        self._send_json(
-            404,
-            _frame_error(
-                f"unknown path {self.path!r}; POST serves /rpc, /shutdown, "
-                f"and /{'|/'.join(_HTTP_VERBS)}"
-            ),
-        )
-
-
-class CometHTTPServer(_CometServerMixin, ThreadingHTTPServer):
+class CometHTTPServer(_CometServer, ThreadingHTTPServer):
     """Minimal HTTP/1.1 adapter exposing the service verbs.
 
     ``POST /rpc`` takes a full ``{"action": ..., ...}`` request object;
     ``POST /<verb>`` takes the verb's fields; ``GET /status`` and
     ``GET /status/<name>`` mirror the status verb. Responses are the
-    JSON envelopes of :meth:`CometService.handle` with HTTP status 200
-    (ok), 400 (handled error), 404 (unknown path), or 413 (oversized).
+    pipeline's JSON envelopes with HTTP status 200 (ok), 400 (bad frame
+    or handled error), 401 (bad bearer), 403 (shutdown refused), 404
+    (unknown path), or 413 (oversized).
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self,
-        service: CometService,
-        address: tuple[str, int] = ("127.0.0.1", 0),
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        security: TransportSecurity | None = None,
-        conn_timeout: float | None = None,
-        allow_remote_shutdown: bool = False,
-    ) -> None:
-        super().__init__(
-            service,
-            address,
-            _HTTPHandler,
-            max_frame=max_frame,
-            thread_name="comet-http-server",
-            security=security,
-            conn_timeout=conn_timeout,
-            allow_remote_shutdown=allow_remote_shutdown,
-        )
+    _handler = _HTTPHandler
+    _thread_name = "comet-http-server"
 
 
 # ---------------------------------------------------------------------- #
@@ -769,7 +739,7 @@ class CometClient:
             raise CometConnectionError(
                 "server closed the connection before responding"
             )
-        return json.loads(line.decode("utf-8"))
+        return decode_frame(line)
 
     def _result(self, request: dict) -> dict:
         response = self.call(request)
