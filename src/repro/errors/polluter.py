@@ -81,9 +81,11 @@ class Polluter:
         rows = rng.choice(frame.n_rows, size=min(n_cells, frame.n_rows), replace=False)
         # Functional update: the returned state shares every untouched
         # column with ``frame`` (copy-on-write), so an incremental E1
-        # trajectory costs one column per step, not one frame.
+        # trajectory costs one column per step, not one frame. The new
+        # column is derived from ``frame``'s own, so it needs none of
+        # ``with_column``'s checks.
         new_column = column.with_values(rows, self.error.corrupt(column, rows, rng))
-        return frame.with_column(new_column), rows
+        return frame._replacing(new_column), rows
 
     def incremental_states(
         self,

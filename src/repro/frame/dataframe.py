@@ -150,10 +150,22 @@ class DataFrame:
             raise ValueError(
                 f"column {column.name!r} has {len(column)} rows, frame has {self._n_rows}"
             )
-        cols = [column if c.name == column.name else c.share() for c in self]
-        if column.name not in self._columns:
-            cols.append(column)
-        return DataFrame(cols)
+        return self._replacing(column)
+
+    def _replacing(self, column: Column) -> "DataFrame":
+        """:meth:`with_column` without its checks: the new frame adopts
+        this one's column map with ``column`` replacing or appending by
+        name, the siblings shared. The caller vouches that ``column``
+        has this frame's row count (say, because it was derived from one
+        of this frame's columns)."""
+        name = column.name
+        frame = DataFrame.__new__(DataFrame)
+        frame._columns = {
+            n: column if n == name else c.share() for n, c in self._columns.items()
+        }
+        frame._columns.setdefault(name, column)
+        frame._n_rows = self._n_rows
+        return frame
 
     def set_column(self, column: Column) -> None:
         """Replace or append ``column`` in place."""

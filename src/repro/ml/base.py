@@ -60,12 +60,53 @@ def clone(estimator: BaseEstimator) -> BaseEstimator:
     return type(estimator)(**estimator.get_params())
 
 
+def _leading_buffer(X: np.ndarray) -> np.ndarray | None:
+    """The read-only C-contiguous float array one column wider than
+    ``X`` whose leading columns ``X`` is (same start, same strides), or
+    ``None``."""
+    buffer = X.base
+    if (
+        type(buffer) is not np.ndarray
+        or buffer.flags.writeable
+        or not buffer.flags.c_contiguous
+        or buffer.dtype != np.float64
+        or X.dtype != np.float64
+        or buffer.shape != (X.shape[0], X.shape[1] + 1)
+        or X.strides != buffer.strides
+        or X.__array_interface__["data"][0] != buffer.__array_interface__["data"][0]
+    ):
+        return None
+    return buffer
+
+
+def bias_buffer_of(X: np.ndarray) -> np.ndarray | None:
+    """The biased buffer ``X`` is the leading view of, or ``None``.
+
+    Returns a buffer only when it is a read-only C-contiguous float
+    array one column wider than ``X``, ``X`` starts at its first byte
+    with its strides, and its last column is all 1.0: it then holds the
+    bytes of ``X`` with a bias column appended.
+    """
+    buffer = _leading_buffer(X)
+    if buffer is None or not (buffer[:, -1] == 1.0).all():
+        return None
+    return buffer
+
+
 def check_X(X: np.ndarray) -> np.ndarray:
-    """Validate a 2-D float feature matrix without NaNs."""
+    """Validate a 2-D float feature matrix without NaNs.
+
+    The leading view of a wider read-only buffer (a featurized design
+    matrix) is first tested through the contiguous buffer, about twice
+    as fast as a strided pass; only when that finds a non-finite value,
+    which may sit in the extra column, is the view itself tested.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    buffer = _leading_buffer(X)
+    finite = buffer is not None and np.isfinite(buffer).all()
+    if not finite and not np.isfinite(X).all():
         raise ValueError("X contains NaN or infinity; impute before fitting")
     return X
 

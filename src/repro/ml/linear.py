@@ -12,7 +12,14 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from repro.ml.base import BaseEstimator, check_X, check_X_y, one_hot, unique_labels
+from repro.ml.base import (
+    BaseEstimator,
+    bias_buffer_of,
+    check_X,
+    check_X_y,
+    one_hot,
+    unique_labels,
+)
 
 __all__ = ["LinearRegression", "LinearRegressionClassifier", "LogisticRegression"]
 
@@ -152,7 +159,15 @@ class LogisticRegression(BaseEstimator):
 
 
 def _add_bias(X: np.ndarray) -> np.ndarray:
-    """``X`` with a trailing column of ones (the bytes of ``np.hstack``)."""
+    """``X`` with a trailing column of ones (the bytes of ``np.hstack``).
+
+    The leading view of a biased buffer (a featurized design matrix,
+    :func:`repro.ml.base.bias_buffer_of`) returns the buffer itself;
+    anything else is copied.
+    """
+    buffer = bias_buffer_of(X)
+    if buffer is not None:
+        return buffer
     out = np.empty((len(X), X.shape[1] + 1))
     out[:, :-1] = X
     out[:, -1] = 1.0

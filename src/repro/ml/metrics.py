@@ -94,8 +94,16 @@ def f1_score(y_true: np.ndarray, y_pred: np.ndarray, average: str = "auto") -> f
 
 
 def _binary_f1(y_true: np.ndarray, y_pred: np.ndarray, positive: int) -> float:
-    precision = precision_score(y_true, y_pred, positive=positive)
-    recall = recall_score(y_true, y_pred, positive=positive)
+    # Precision and recall from three counts: the quotients of
+    # ``precision_score`` and ``recall_score`` (an exact count over an
+    # exact count), without their pair checks and masked copies.
+    predicted = y_pred == positive
+    actual = y_true == positive
+    n_predicted = np.count_nonzero(predicted)
+    n_actual = np.count_nonzero(actual)
+    n_hit = np.count_nonzero(predicted & actual)
+    precision = n_hit / n_predicted if n_predicted else 0.0
+    recall = n_hit / n_actual if n_actual else 0.0
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)

@@ -168,10 +168,34 @@ class TestMutationIsolation:
         polluter = Polluter(MissingValues(), step=0.05, rng=3)
         states = polluter.incremental_states(polluted.train, feature, n_steps=2)[0]
         other = [n for n in polluted.train.column_names if n != feature]
+        source = polluted.train
+        before = {
+            name: Column(name, source[name].values.copy(), source[name].kind)
+            for name in other
+        }
         for state in states:
             for name in other:
-                assert state.frame[name].token == polluted.train[name].token
-            assert state.frame[feature].token != polluted.train[feature].token
+                assert state.frame[name].token == source[name].token
+            assert state.frame[feature].token != source[feature].token
+            assert state.frame.column_names == source.column_names
+        # Writes through a state's shared sibling and through the source
+        # frame do not see each other.
+        first, second = other[0], other[1]
+        state = states[-1].frame
+        row = int(np.flatnonzero(~source[first].missing_mask)[0])
+        state[first].set_missing([row])
+        assert source[first] == before[first]
+        assert not source[first].missing_mask[row]
+        row = int(np.flatnonzero(~source[second].missing_mask)[0])
+        source[second].set_missing([row])
+        assert state[second] == before[second]
+        assert not state[second].missing_mask[row]
+        # ``with_column`` still checks the length and appends a new name.
+        with pytest.raises(ValueError, match="rows"):
+            source.with_column(Column(first, before[first].values[:-1]))
+        appended = source.with_column(Column("extra", np.arange(source.n_rows)))
+        assert appended.column_names == source.column_names + ["extra"]
+        assert appended[first].token == source[first].token
 
 
 class TestPickleRebuildsSharing:

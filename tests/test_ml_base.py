@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from hypothesis_tiers import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 
-from repro.ml.base import BaseEstimator, one_hot, unique_labels
+from repro.ml.base import BaseEstimator, check_X, one_hot, unique_labels
 from repro.ml.linear import _add_bias
 
 _LABELS = st.one_of(
@@ -74,13 +74,52 @@ def test_one_hot_equals_a_lookup(y, classes, own_labels):
     assert got.tobytes() == want.tobytes()
 
 
+def _sealed(columns):
+    """A read-only C-contiguous copy of ``columns``."""
+    buffer = np.ascontiguousarray(np.hstack(columns))
+    buffer.setflags(write=False)
+    return buffer
+
+
 @settings(STANDARD_SETTINGS, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.integers(0, 5))))
 def test_add_bias_has_the_bytes_of_hstack(X):
+    n, d = X.shape
+    ones = np.ones((n, 1))
+    want = np.hstack([X, ones])
     got = _add_bias(X)
-    want = np.hstack([X, np.ones((len(X), 1))])
     assert got.flags.c_contiguous
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # The leading view of a read-only buffer whose last column is ones
+    # is biased already: the buffer itself comes back.
+    buffer = _sealed([X, ones])
+    assert _add_bias(buffer[:, :-1]) is buffer
+    assert _add_bias(buffer[:, :-1]).tobytes() == want.tobytes()
+
+    # Anything else is a fresh copy with hstack's bytes: a writable
+    # buffer, a last column not all ones, a wider buffer, an offset view.
+    writable = np.hstack([X, ones])
+    not_ones = _sealed([X, np.arange(n, dtype=float)[:, None] + 1.0])
+    wider = _sealed([X, ones, ones])
+    shifted = _sealed([ones, X])
+    cases = [(writable[:, :-1], writable), (wider[:, :d], wider)]
+    if X.size:  # an empty view has no offset to tell apart
+        cases += [(shifted[:, 1:], shifted)]
+    if n > 1:  # its last column holds 1.0, 2.0, ...
+        cases += [(not_ones[:, :-1], not_ones)]
+    for view, source in cases:
+        copied = _add_bias(view)
+        assert copied is not source and not np.shares_memory(copied, source)
+        assert copied.flags.c_contiguous and copied.flags.writeable
+        assert copied.tobytes() == np.hstack([view, ones]).tobytes()
+    # A view whose hidden column holds nan is checked as itself.
+    hidden_nan = _sealed([X, np.full((n, 1), np.nan)])
+    if np.isfinite(X).all():
+        assert check_X(hidden_nan[:, :-1]).tobytes() == X.tobytes()
+    else:
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            check_X(hidden_nan[:, :-1])
 
 
 class _Parent(BaseEstimator):

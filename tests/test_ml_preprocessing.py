@@ -407,7 +407,39 @@ def _fingerprint(state):
     for split in (state.train, state.test):
         X, y = split.design.matrix, split.targets
         parts += [X.shape, X.dtype.str, X.tobytes(), y.dtype.str, y.tobytes()]
+        buffer = _buffer(split)
+        parts += [
+            buffer.shape,
+            buffer.tobytes(),
+            buffer.flags.writeable,
+            buffer.flags.c_contiguous,
+        ]
     return parts
+
+
+def _buffer(split):
+    """The ``n × (d + 1)`` buffer a split's design matrix is the leading
+    view of, checked: read-only, C-contiguous, last column all ones."""
+    X, buffer = split.design.matrix, split.design.buffer
+    assert X.base is buffer
+    assert buffer.shape == (X.shape[0], X.shape[1] + 1)
+    assert buffer[:, :-1].tobytes() == X.tobytes()
+    assert not buffer.flags.writeable and not X.flags.writeable
+    assert buffer.flags.c_contiguous
+    assert (buffer[:, -1] == 1.0).all()
+    return buffer
+
+
+def _coefficients(name, X, y):
+    """The bytes of ``name``'s fitted ``coef_`` on ``(X, y)``, or the
+    error it raises: drawn designs can be singular in floating point
+    (a near-constant numeric column scales to ~1e16), and then both
+    layouts must fail the same way."""
+    try:
+        model = make_classifier(name).fit(X, y)
+    except np.linalg.LinAlgError as error:
+        return repr(error)
+    return (model._model_ if name == "lir" else model).coef_.tobytes()
 
 
 def _assert_splice_matches(train, test, derive, task="classification"):
@@ -430,7 +462,15 @@ def _assert_splice_matches(train, test, derive, task="classification"):
         assert split.design.matrix.tobytes() == X.tobytes()
         assert split.targets.tobytes() == y.tobytes()
         assert not np.shares_memory(derived.design.matrix, split.design.matrix)
+        assert not np.shares_memory(_buffer(derived), _buffer(split))
         assert not np.shares_memory(derived.targets, split.targets)
+        # The models fit on the buffer without a bias copy, and get the
+        # coefficients a fit on a plain contiguous copy gets.
+        matrix = derived.design.matrix
+        for name in ("lir", "lor"):
+            assert _coefficients(name, matrix, derived.targets) == _coefficients(
+                name, np.ascontiguousarray(matrix), derived.targets
+            )
 
 
 def _splice_frame():
