@@ -46,15 +46,30 @@ class _CandidateTasks:
     polluted_rows: np.ndarray
 
 
+@dataclass
+class _Curve:
+    """One candidate's measured E1 curve: what E2 needs, without the
+    tasks (and their polluted frames) that measured it."""
+
+    feature: str
+    error: ErrorType
+    #: Pollution levels, 0 first.
+    levels: np.ndarray
+    #: F1 at each level; level 0 carries the baseline.
+    scores: np.ndarray
+    #: Train rows the Polluter touched.
+    polluted_rows: np.ndarray
+
+
 def _assemble_curve(
     group: _CandidateTasks, fit_scores: list, baseline_f1: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, scores) for one candidate, with level 0 carrying the
-    baseline — the single place the E1 curve is put together, so serial
-    and batched dispatch can never drift apart."""
+) -> _Curve:
+    """One candidate's curve, with level 0 carrying the baseline — the
+    single place the E1 curve is put together, so serial and batched
+    dispatch can never drift apart."""
     levels = np.asarray([0.0] + group.levels)
     scores = np.asarray([baseline_f1] + list(fit_scores))
-    return levels, scores
+    return _Curve(group.feature, group.error, levels, scores, group.polluted_rows)
 
 
 @dataclass
@@ -184,8 +199,8 @@ class CometEstimator:
             fit_scores = backend.map(run_fit_score_task, candidate.tasks)
         else:
             fit_scores = [run_fit_score_task(t) for t in candidate.tasks]
-        levels, scores = _assemble_curve(candidate, fit_scores, baseline_f1)
-        return levels, scores, candidate.polluted_rows
+        curve = _assemble_curve(candidate, fit_scores, baseline_f1)
+        return curve.levels, curve.scores, curve.polluted_rows
 
     # ------------------------------------------------------------------ #
     # E2: predictive model construction
@@ -199,26 +214,42 @@ class CometEstimator:
         polluted_rows: np.ndarray,
     ) -> Prediction:
         """Fit the Bayesian regression and extrapolate to level ``−step``."""
+        curve = _Curve(feature, error, levels, scores, polluted_rows)
+        return self._predict_curves([curve])[0]
+
+    def _predict_curves(self, curves: list[_Curve]) -> list[Prediction]:
+        """E2 for a sweep's curves: one stacked Bayesian fit, each curve
+        byte-identical to a fit of its own."""
+        if not curves:
+            return []
         cfg = self.config
-        design = polynomial_design(levels, degree=cfg.regression_degree)
-        model = BayesianLinearRegression().fit(design, scores)
-        probe = polynomial_design(np.array([-cfg.step]), degree=cfg.regression_degree)
-        mean, lower, upper = model.credible_interval(probe, level=cfg.credible_level)
-        predicted = float(mean[0])
-        uncertainty = float(upper[0] - lower[0])
-        if cfg.adjust_predictions:
-            history = self._discrepancies.get((feature, error.name))
-            if history:
-                predicted += float(np.mean(history))
-        return Prediction(
-            feature=feature,
-            error=error.name,
-            predicted_f1=predicted,
-            uncertainty=uncertainty,
-            levels=levels,
-            scores=scores,
-            polluted_rows=polluted_rows,
+        designs = np.stack(
+            [polynomial_design(c.levels, degree=cfg.regression_degree) for c in curves]
         )
+        model = BayesianLinearRegression().fit(designs, np.stack([c.scores for c in curves]))
+        probe = polynomial_design(np.array([-cfg.step]), degree=cfg.regression_degree)
+        mean, lower, upper = model.credible_interval(
+            np.broadcast_to(probe, (len(curves),) + probe.shape), level=cfg.credible_level
+        )
+        predictions = []
+        for curve, m, lo, hi in zip(curves, mean[:, 0], lower[:, 0], upper[:, 0]):
+            predicted = float(m)
+            if cfg.adjust_predictions:
+                history = self._discrepancies.get((curve.feature, curve.error.name))
+                if history:
+                    predicted += float(np.mean(history))
+            predictions.append(
+                Prediction(
+                    feature=curve.feature,
+                    error=curve.error.name,
+                    predicted_f1=predicted,
+                    uncertainty=float(hi - lo),
+                    levels=curve.levels,
+                    scores=curve.scores,
+                    polluted_rows=curve.polluted_rows,
+                )
+            )
+        return predictions
 
     def estimate(
         self,
@@ -256,10 +287,12 @@ class CometEstimator:
         pooled backend the whole sweep is materialized and dispatched as
         one flat task list — peak memory holds every polluted state at
         once, the price of cross-candidate parallelism. Serially, each
-        candidate's states are built, scored, and discarded in turn, so
-        memory matches the pre-batching loop. Either way the RNG
-        consumption and results are bit-identical; see ``repro.runtime``
-        for the contract.
+        candidate's states are built, scored, and discarded in turn:
+        what outlives a candidate is its curve (levels, scores and
+        polluted rows), never its states, so memory holds curves, not
+        states. E2 then runs once for the sweep, one stacked Bayesian
+        fit over every curve. Either way the RNG consumption and results
+        are bit-identical; see ``repro.runtime`` for the contract.
         """
         serial = backend is None or isinstance(backend, SerialBackend)
         base = None
@@ -283,15 +316,8 @@ class CometEstimator:
                 (group, list(islice(fit_scores, len(group.tasks))))
                 for group in groups
             )
-        predictions: list[Prediction] = []
-        for group, chunk in scored:
-            levels, scores = _assemble_curve(group, chunk, baseline_f1)
-            predictions.append(
-                self.predict_cleaning(
-                    group.feature, group.error, levels, scores, group.polluted_rows
-                )
-            )
-        return predictions
+        curves = [_assemble_curve(g, chunk, baseline_f1) for g, chunk in scored]
+        return self._predict_curves(curves)
 
     # ------------------------------------------------------------------ #
     # discrepancy feedback (§3.3)

@@ -32,24 +32,11 @@ class CategoricalShift(ErrorType):
         m = len(cats)
         if m < 2:
             return column.values[rows].copy()
-        cats_arr = np.array(cats, dtype=object)
         sel = codes[rows]
-        if (sel >= 0).all():
-            # Every target cell holds a known category, so the per-row
-            # draw bound is the constant ``m - 1`` and one bulk draw
-            # consumes the stream like per-row draws. A draw of
-            # ``j`` picks the j-th category of the sorted list with the
-            # cell's own category removed: ``cats[j + (j >= code)]``.
-            draws = rng.integers(m - 1, size=len(rows))
-            return cats_arr[draws + (draws >= sel)]
-        # Missing cells draw from all m categories (None equals none of
-        # them), so the bound varies per row — keep the per-row draw
-        # order and vectorize only the category table lookups.
-        out = np.empty(len(rows), dtype=object)
-        for i, code in enumerate(sel.tolist()):
-            if code < 0:
-                out[i] = cats_arr[rng.integers(m)]
-            else:
-                j = int(rng.integers(m - 1))
-                out[i] = cats_arr[j + (j >= code)]
-        return out
+        # One draw per row, bounded per row: a missing cell (code -1)
+        # draws from all m categories, a known one from the m - 1 others.
+        # An array bound consumes the stream as per-row scalar draws do.
+        # A draw of j for a known cell picks the j-th category of the
+        # sorted list with the cell's own category removed.
+        draws = rng.integers(np.where(sel < 0, m, m - 1))
+        return np.array(cats, dtype=object)[draws + ((sel >= 0) & (draws >= sel))]

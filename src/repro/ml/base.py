@@ -93,6 +93,14 @@ def bias_buffer_of(X: np.ndarray) -> np.ndarray | None:
     return buffer
 
 
+def as_matrix(X: np.ndarray) -> np.ndarray:
+    """``X`` as a 2-D float array, not yet tested for NaN or infinity."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    return X
+
+
 def check_X(X: np.ndarray) -> np.ndarray:
     """Validate a 2-D float feature matrix without NaNs.
 
@@ -101,9 +109,7 @@ def check_X(X: np.ndarray) -> np.ndarray:
     as fast as a strided pass; only when that finds a non-finite value,
     which may sit in the extra column, is the view itself tested.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    X = as_matrix(X)
     buffer = _leading_buffer(X)
     finite = buffer is not None and np.isfinite(buffer).all()
     if not finite and not np.isfinite(X).all():
@@ -111,9 +117,8 @@ def check_X(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a feature matrix and an integer label vector together."""
-    X = check_X(X)
+def check_labels(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Validate an integer label vector against the rows of matrix ``X``."""
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"y must be 1-D, got shape {y.shape}")
@@ -121,7 +126,13 @@ def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
     if len(X) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    return X, y.astype(int)
+    return y.astype(int)
+
+
+def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a feature matrix and an integer label vector together."""
+    X = check_X(X)
+    return X, check_labels(X, y)
 
 
 def unique_labels(y: np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ from scipy import optimize
 
 from repro.ml.base import (
     BaseEstimator,
+    as_matrix,
     bias_buffer_of,
+    check_labels,
     check_X,
     check_X_y,
     one_hot,
@@ -33,7 +35,7 @@ class LinearRegression(BaseEstimator):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
         """Fit on the given training data and return ``self``."""
         y = np.asarray(y, dtype=float)
-        self.coef_ = _ridge(check_X(X), y[:, None] if y.ndim == 1 else y, self.alpha)
+        self.coef_ = _ridge(as_matrix(X), y[:, None] if y.ndim == 1 else y, self.alpha)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -55,7 +57,8 @@ class LinearRegressionClassifier(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegressionClassifier":
         """Fit on the given training data and return ``self``."""
-        X, y = check_X_y(X, y)
+        X = as_matrix(X)
+        y = check_labels(X, y)
         self.classes_ = unique_labels(y)
         self._model_ = LinearRegression(alpha=self.alpha)
         self._model_.coef_ = _ridge(X, one_hot(y, self.classes_), self.alpha)
@@ -175,10 +178,21 @@ def _add_bias(X: np.ndarray) -> np.ndarray:
 
 
 def _ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
-    """Ridge coefficients of validated ``X`` for 2-D targets ``Y``, bias
-    last and unpenalized."""
+    """Ridge coefficients of 2-D ``X`` for 2-D targets ``Y``, bias last
+    and unpenalized.
+
+    ``X`` is validated through its Gram matrix: a NaN or ±inf cell makes
+    its column's diagonal entry (a sum of squares) non-finite, and only
+    then is ``X`` tested in full, raising :func:`check_X`'s error. A
+    finite ``X`` whose squares overflow passes that test and is solved
+    as before; its Gram is recomputed so the overflow is reported.
+    """
     Xb = _add_bias(X)
-    gram = Xb.T @ Xb
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = Xb.T @ Xb
+    if not np.isfinite(gram.diagonal()).all():
+        check_X(X)
+        gram = Xb.T @ Xb
     # gram + alpha * I with the bias entry 0, in place: adding alpha * 0.0
     # off the penalized diagonal keeps the bytes of the out-of-place sum.
     gram += alpha * 0.0

@@ -52,14 +52,16 @@ _PUBLIC = object()
 
 
 class StandardScaler:
-    """Zero-mean unit-variance scaling; constant columns stay at zero."""
+    """Zero-mean unit-variance scaling; constant columns (up to rounding)
+    are only centred."""
 
     def fit(self, X: np.ndarray) -> "StandardScaler":
         """Fit on the given training data and return ``self``."""
         X = np.asarray(X, dtype=float)
         self.mean_ = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std == 0.0] = 1.0
+        var = X.var(axis=0)
+        std = np.sqrt(var)
+        std[_is_constant(var, self.mean_, len(X))] = 1.0
         self.scale_ = std
         return self
 
@@ -123,8 +125,20 @@ def _fit_numeric_column(column: Column) -> tuple[float, float, float]:
     impute = float(present.mean()) if present.size else 0.0
     filled = values.copy()
     filled[~np.isfinite(filled)] = impute
-    std = float(filled.std())
-    return impute, float(filled.mean()), std if std != 0.0 else 1.0
+    mean, var = float(filled.mean()), float(filled.var())
+    std = 1.0 if _is_constant(var, mean, len(filled)) else float(np.sqrt(var))
+    return impute, mean, std
+
+
+def _is_constant(var, mean, n: int):
+    """Whether ``n`` values with this variance and mean are equal up to
+    rounding (scikit-learn's ``_is_constant_feature`` rule).
+
+    The computed variance of equal floats need not be 0: the mean may
+    round, and a std of float noise would scale other values by ~1e16.
+    """
+    eps = np.finfo(np.float64).eps
+    return var <= n * eps * var + (n * mean * eps) ** 2
 
 
 def _fit_categorical_column(column: Column) -> list:

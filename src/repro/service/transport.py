@@ -344,6 +344,10 @@ class _HTTPHandler(_ConnectionMixin, BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    # The head and the body go out in two writes; with Nagle's algorithm
+    # on, the body waits for the client's delayed ACK (~40 ms a reply on
+    # a kept-alive connection).
+    disable_nagle_algorithm = True
     server: "CometHTTPServer"
 
     def handle(self) -> None:  # noqa: D102 — http.server hook

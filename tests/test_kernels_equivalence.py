@@ -115,6 +115,12 @@ ERROR_CASES = [
         lambda: _categorical_column(with_none=True),
         id="inconsistent-with-none",
     ),
+    # Known cells draw from one other category, missing cells from two.
+    pytest.param(
+        CategoricalShift(),
+        lambda: _categorical_column(with_none=True, labels=("alpha", "beta")),
+        id="categorical-two-with-none",
+    ),
     # 5, 4 and 3 re-spellings: the per-row draw bound varies.
     pytest.param(
         InconsistentRepresentation(),
@@ -185,11 +191,16 @@ class TestPolluterMatchesOracle:
             pytest.param(MissingValues(), "num", id="missing"),
             pytest.param(GaussianNoise(), "num", id="noise"),
             pytest.param(CategoricalShift(), "cat", id="categorical"),
+            pytest.param(CategoricalShift(), "cat_none", id="categorical-with-none"),
         ],
     )
     def test_incremental_states_identical(self, monkeypatch, error, feature):
         frame = DataFrame(
-            {"num": _numeric_column(300).values, "cat": _categorical_column(300).values}
+            {
+                "num": _numeric_column(300).values,
+                "cat": _categorical_column(300).values,
+                "cat_none": _categorical_column(300, with_none=True).values,
+            }
         )
 
         def run():

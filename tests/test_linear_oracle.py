@@ -13,6 +13,9 @@ precisions, predictions, intervals and scores must match byte for byte.
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +338,133 @@ def test_bayesian_regression_matches_oracle(seed, n, degree, shape, level):
         _reference_interval(beta, coef, cov, probe, level),
     ):
         _same(got, want)
+
+
+def _curve(rng, shape, levels):
+    """One E2 series of a given shape: ``huge`` drives alpha to its lower
+    clamp, ``zero`` to its upper one, ``line`` beta to its upper one."""
+    n = len(levels)
+    if shape == "noisy":
+        return rng.uniform(0.3, 0.9, size=n)
+    if shape == "flat":
+        return np.full(n, rng.uniform(0.3, 0.9))
+    if shape == "line":
+        return 0.8 - 0.5 * levels
+    if shape == "huge":
+        return rng.uniform(-1.0, 1.0, size=n) * 1e9
+    return np.zeros(n)
+
+
+def _assert_stack_matches_one_curve_fits(designs, scores, max_iter, level):
+    model = BayesianLinearRegression(max_iter=max_iter).fit(np.stack(designs), scores)
+    probes = [
+        polynomial_design(np.array([-0.02, 0.5]), degree=X.shape[1] - 1) for X in designs
+    ]
+    stacked = model.credible_interval(np.stack(probes), level=level)
+    for i, (X, y, probe) in enumerate(zip(designs, scores, probes)):
+        one = BayesianLinearRegression(max_iter=max_iter).fit(X, y)
+        alpha, beta, coef, cov = _reference_blr(X, y, max_iter=max_iter)
+        _same(one.alpha_, alpha)
+        _same(model.alpha_[i], one.alpha_)
+        _same(model.beta_[i], one.beta_)
+        _same(model.coef_[i], one.coef_)
+        _same(model.cov_[i], one.cov_)
+        for got, want in zip(stacked, one.credible_interval(probe, level=level)):
+            _same(got[i], want)
+
+
+@settings(STANDARD_SETTINGS, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    degree=st.sampled_from([1, 2]),
+    shapes=st.lists(
+        st.sampled_from(["noisy", "flat", "line", "huge", "zero"]), min_size=1, max_size=6
+    ),
+    max_iter=st.sampled_from([0, 1, 3, 50]),
+    level=st.sampled_from([0.5, 0.95]),
+)
+def test_stacked_bayesian_regression_matches_one_curve_fits(
+    seed, n, degree, shapes, max_iter, level
+):
+    # Each curve has its own step, so the stack holds different designs.
+    rng = np.random.default_rng(seed)
+    designs, scores = [], []
+    for shape in shapes:
+        levels = np.arange(n) * rng.choice([0.01, 0.02, 0.05])
+        designs.append(polynomial_design(levels, degree=degree))
+        scores.append(_curve(rng, shape, levels))
+    _assert_stack_matches_one_curve_fits(designs, np.stack(scores), max_iter, level)
+
+
+def _converged_at(X, y, max_iter=50):
+    """The iteration a reference fit stops at, or ``None`` when it runs
+    out of ``max_iter`` updates."""
+    final = _reference_blr(X, y, max_iter=max_iter + 1)
+
+    def same(fit):
+        return all(
+            np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(fit, final)
+        )
+
+    if not same(_reference_blr(X, y, max_iter=max_iter)):
+        return None
+    return next(k for k in range(1, max_iter + 1) if same(_reference_blr(X, y, max_iter=k)))
+
+
+def test_stacked_bayesian_regression_retires_each_curve_on_its_own():
+    # One stack whose curves leave the evidence loop at different
+    # iterations or not at all, and reach every clamp.
+    rng = np.random.default_rng(3)
+    levels = np.arange(5) * 0.05
+    X = polynomial_design(levels)
+    shapes = ["noisy", "noisy", "flat", "line", "huge", "zero"]
+    scores = np.stack([_curve(rng, shape, levels) for shape in shapes])
+    stops = [_converged_at(X, y, max_iter=4) for y in scores]
+    assert None in stops and len(set(stops) - {None}) >= 2
+    fits = [_reference_blr(X, y, max_iter=4) for y in scores]
+    assert {1e-10, 1e10} <= {alpha for alpha, *__ in fits}
+    assert 1e10 in {beta for __, beta, *___ in fits}
+    _assert_stack_matches_one_curve_fits([X] * len(shapes), scores, max_iter=4, level=0.95)
+
+
+_NON_FINITE_MESSAGE = "X contains NaN or infinity; impute before fitting"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("biased", [False, True], ids=["array", "biased-view"])
+@pytest.mark.parametrize("model", [LinearRegression, LinearRegressionClassifier])
+def test_ridge_rejects_a_non_finite_design(bad, biased, model):
+    # The bad cell sits in a column of zeros, so the Gram's products
+    # meet 0 * inf; the fit still raises check_X's error and nothing else.
+    X = np.random.default_rng(0).normal(size=(12, 3))
+    X[:, 1] = 0.0
+    X[5, 1] = bad
+    if biased:  # the leading view of a featurized design buffer
+        buffer = np.hstack([X, np.ones((12, 1))])
+        buffer.setflags(write=False)
+        X = buffer[:, :-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(_NON_FINITE_MESSAGE)):
+            _check_X(X)
+        with pytest.raises(ValueError, match=re.escape(_NON_FINITE_MESSAGE)):
+            model().fit(X, np.arange(12) % 2)
+
+
+@pytest.mark.parametrize("model", [LinearRegression, LinearRegressionClassifier])
+def test_ridge_on_a_finite_design_whose_gram_overflows(model):
+    # Finite cells, infinite squares: no validation error, the overflow
+    # warning and the coefficients of the reference solve.
+    X = np.array([[1e200, 0.0], [1.0, 2.0], [3.0, -1e200], [0.5, 1.0]])
+    y = np.array([0, 1, 0, 1])
+    classifier = model is LinearRegressionClassifier
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        expected = _reference_lir(X, y, 1e-3)[1] if classifier else _reference_ridge(X, y, 1e-3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        fitted = model(alpha=1e-3).fit(X, y)
+    coef = fitted._model_.coef_ if classifier else fitted.coef_
+    _same(coef, expected)
 
 
 @settings(STANDARD_SETTINGS, deadline=None)

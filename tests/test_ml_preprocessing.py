@@ -102,6 +102,17 @@ class TestTabularPreprocessor:
         X = TabularPreprocessor(["num"]).fit_transform(frame)
         assert np.isfinite(X).all()
 
+    def test_near_constant_column_is_only_centred(self):
+        # Two cells one ulp apart: their variance is rounding noise, so
+        # the column counts as constant and is not scaled by ~1e16.
+        train = DataFrame({"num": [1.0, 1.0 + 2.0**-52]})
+        test = DataFrame({"num": [1.5, 1.0]})
+        prep = TabularPreprocessor(["num"]).fit(train)
+        assert prep.scaler_.scale_.tolist() == [1.0]
+        assert np.abs(prep.transform(test)).max() < 1.0
+        scaler = StandardScaler().fit(train["num"].values[:, None])
+        assert scaler.scale_.tolist() == [1.0]
+
 
 class TestTrainTestSplit:
     def test_disjoint_and_complete(self):

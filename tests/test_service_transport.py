@@ -209,16 +209,22 @@ class TestFrameHardening:
             server.shutdown()
             server.server_close()
 
-    def test_client_poisons_connection_after_timeout(self, tcp_server):
+    def test_client_poisons_connection_after_timeout(self, service, tcp_server):
         with CometClient(tcp_server.port, timeout=120) as setup:
             setup.create("slowpoke", _params(budget=4))
+        # Hold the run inside its first sweep until the client has given
+        # up, so outlasting the 0.2 s timeout never depends on how fast
+        # the sweep is (unheld, this run takes about 0.2 s).
+        gate = _HoldFirstSweep()
+        service.session("slowpoke").add_observer(gate)
         client = CometClient(tcp_server.port, timeout=0.2)
         try:
             with pytest.raises(OSError):
-                client.run("slowpoke")  # a multi-second run vs a 0.2s timeout
+                client.run("slowpoke")
             with pytest.raises(ConnectionError, match="desynchronized"):
                 client.status()
         finally:
+            gate.release.set()
             client.close()
         # The server survives the broken client; a fresh connection works.
         with CometClient(tcp_server.port, timeout=120) as fresh:
@@ -529,6 +535,34 @@ class TestHTTPAdapter:
             assert response.getheader("Connection") == "close"
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "token", [None, "keep-alive-token-0123456789"], ids=["plain", "token"]
+    )
+    def test_kept_alive_requests_do_not_wait_for_delayed_acks(self, service, token):
+        # A reply written as two segments with Nagle's algorithm on waits
+        # for the client's delayed ACK: ~40 ms each, 0.8 s or more for 20.
+        import http.client
+
+        from repro.security import TransportSecurity
+
+        security = TransportSecurity(token=token) if token else None
+        server = CometHTTPServer(service, security=security)
+        server.serve_background()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        headers = {"Authorization": f"Bearer {token}"} if token else {}
+        try:
+            start = time.perf_counter()
+            for __ in range(20):
+                conn.request("POST", "/status", body=b"{}", headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200 and json.loads(response.read())["ok"]
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+        assert elapsed < 0.4, f"20 kept-alive requests took {elapsed:.3f} s"
 
     def test_http_shutdown(self, service):
         server = CometHTTPServer(service)
