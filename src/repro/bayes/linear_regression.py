@@ -6,12 +6,17 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["BayesianLinearRegression", "polynomial_design"]
 
-#: Standard normal quantiles, cached: every E2 fit asks for the same level.
-_normal_quantile = functools.lru_cache(stats.norm.ppf)
+
+@functools.lru_cache
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile, cached: every E2 fit asks for the same
+    level. scipy loads on first use, not with the package."""
+    from scipy.special import ndtri
+
+    return ndtri(p)
 
 
 def polynomial_design(x: np.ndarray, degree: int = 1) -> np.ndarray:

@@ -64,12 +64,24 @@ class _Curve:
 def _assemble_curve(
     group: _CandidateTasks, fit_scores: list, baseline_f1: float
 ) -> _Curve:
-    """One candidate's curve, with level 0 carrying the baseline — the
-    single place the E1 curve is put together, so serial and batched
-    dispatch can never drift apart."""
+    """One candidate's curve, with level 0 carrying the baseline."""
     levels = np.asarray([0.0] + group.levels)
     scores = np.asarray([baseline_f1] + list(fit_scores))
     return _Curve(group.feature, group.error, levels, scores, group.polluted_rows)
+
+
+def _shares(tasks: list, n: int) -> list[list]:
+    """Cut ``tasks`` into ``n`` contiguous shares (fewer for a short list,
+    none for an empty one) whose sizes differ by at most one; they
+    concatenate to ``tasks``."""
+    n = min(n, len(tasks))
+    return [tasks[len(tasks) * i // n : len(tasks) * (i + 1) // n] for i in range(n)]
+
+
+def _run_share(share: list[FitScoreTask]) -> list[float]:
+    """Score one share's tasks in order (module-level, so pooled
+    backends pickle it by reference)."""
+    return [run_fit_score_task(task) for task in share]
 
 
 @dataclass
@@ -192,15 +204,46 @@ class CometEstimator:
         Train and test are polluted separately (same levels, independent
         cells) to avoid leakage, per §3.1. Returns (levels, scores,
         polluted train rows), where level 0 carries the baseline. The
-        model fits run through ``backend`` when given, inline otherwise.
+        model fits run through ``backend`` (inline when omitted).
         """
-        candidate = self.build_candidate_tasks(train, test, feature, error)
-        if backend is not None:
-            fit_scores = backend.map(run_fit_score_task, candidate.tasks)
-        else:
-            fit_scores = [run_fit_score_task(t) for t in candidate.tasks]
-        curve = _assemble_curve(candidate, fit_scores, baseline_f1)
+        curve = self._measure_curves(
+            train, test, [(feature, error)], baseline_f1, backend
+        )[0]
         return curve.levels, curve.scores, curve.polluted_rows
+
+    def _measure_curves(
+        self,
+        train: DataFrame,
+        test: DataFrame,
+        candidates: list[tuple[str, ErrorType]],
+        baseline_f1: float,
+        backend: ExecutionBackend | None,
+    ) -> list[_Curve]:
+        """E1 for a candidate sweep: one base, one ``map`` of shares.
+
+        Featurizes the base ``(train, test)`` once and builds every
+        candidate's tasks against it, in candidate order (the RNG draws
+        a sequence of single-candidate sweeps would make). The flat task
+        list is cut into one contiguous share per backend worker and
+        mapped once; a serial backend has one worker, so it scores the
+        single share inline. Each share pickles the base and every
+        shared column once, so a worker splices exactly as the parent
+        would. The sweep holds every polluted state until it is scored.
+        """
+        backend = backend or SerialBackend()
+        model = TabularModel(self.estimator, label=self.label, task=self.task)
+        base = model.featurize(train, test)
+        groups = [
+            self.build_candidate_tasks(train, test, feature, error, base)
+            for feature, error in candidates
+        ]
+        flat = [task for group in groups for task in group.tasks]
+        shares = backend.map(_run_share, _shares(flat, backend.workers))
+        scores = iter([score for share in shares for score in share])
+        return [
+            _assemble_curve(group, list(islice(scores, len(group.tasks))), baseline_f1)
+            for group in groups
+        ]
 
     # ------------------------------------------------------------------ #
     # E2: predictive model construction
@@ -274,49 +317,16 @@ class CometEstimator:
         baseline_f1: float,
         backend: ExecutionBackend | None = None,
     ) -> list[Prediction]:
-        """E1 + E2 for a whole candidate sweep in one batched dispatch.
+        """E1 + E2 for a whole candidate sweep.
 
-        On the serial path, featurizes the base ``(train, test)`` state
-        once; every task then copies the columns its polluted state
-        shares with the base and encodes only the polluted one
-        (byte-identical to encoding all). Pickled tasks drop the base,
-        so for pooled backends none is built.
-
-        Builds candidate task lists in candidate order (the same RNG
-        draws a sequence of :meth:`estimate` calls would make). On a
-        pooled backend the whole sweep is materialized and dispatched as
-        one flat task list — peak memory holds every polluted state at
-        once, the price of cross-candidate parallelism. Serially, each
-        candidate's states are built, scored, and discarded in turn:
-        what outlives a candidate is its curve (levels, scores and
-        polluted rows), never its states, so memory holds curves, not
-        states. E2 then runs once for the sweep, one stacked Bayesian
-        fit over every curve. Either way the RNG consumption and results
-        are bit-identical; see ``repro.runtime`` for the contract.
+        E1 runs as one dispatch over the backend's workers, every task
+        splicing its polluted state from one base featurization; see
+        :meth:`_measure_curves`. E2 then runs once for the sweep, one
+        stacked Bayesian fit over every curve. RNG consumption and
+        results are those of a sequence of :meth:`estimate` calls, on
+        every backend; see ``repro.runtime`` for the contract.
         """
-        serial = backend is None or isinstance(backend, SerialBackend)
-        base = None
-        if serial:
-            model = TabularModel(self.estimator, label=self.label, task=self.task)
-            base = model.featurize(train, test)
-        groups = (
-            self.build_candidate_tasks(train, test, feature, error, base)
-            for feature, error in candidates
-        )
-        if serial:
-            scored = (
-                (group, [run_fit_score_task(t) for t in group.tasks])
-                for group in groups
-            )
-        else:
-            groups = list(groups)
-            flat = [task for group in groups for task in group.tasks]
-            fit_scores = iter(backend.map(run_fit_score_task, flat))
-            scored = (
-                (group, list(islice(fit_scores, len(group.tasks))))
-                for group in groups
-            )
-        curves = [_assemble_curve(g, chunk, baseline_f1) for g, chunk in scored]
+        curves = self._measure_curves(train, test, candidates, baseline_f1, backend)
         return self._predict_curves(curves)
 
     # ------------------------------------------------------------------ #

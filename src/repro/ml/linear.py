@@ -10,7 +10,6 @@ LOR), so they expose per-sample loss gradients through
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import (
     BaseEstimator,
@@ -106,6 +105,9 @@ class LogisticRegression(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         """Fit on the given training data and return ``self``."""
+        # Loaded on the first fit, not with the package (~0.4 s).
+        from scipy import optimize
+
         X, y = check_X_y(X, y)
         self.classes_ = unique_labels(y)
         n, d = X.shape

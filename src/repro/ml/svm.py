@@ -8,7 +8,6 @@ evaluates as "AC-SVM").
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator, check_X, check_X_y, unique_labels
 from repro.ml.linear import _add_bias
@@ -33,6 +32,9 @@ class LinearSVC(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVC":
         """Fit on the given training data and return ``self``."""
+        # Loaded on the first fit, not with the package (~0.4 s).
+        from scipy import optimize
+
         X, y = check_X_y(X, y)
         self.classes_ = unique_labels(y)
         Xb = _add_bias(X)

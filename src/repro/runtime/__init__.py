@@ -3,16 +3,19 @@
 The Estimator's E1 sweep retrains the model ``|candidates| ×
 n_combinations × n_pollution_steps`` times per session iteration, and the
 estimations for different candidates are independent (PAPER §3.1).  This
-package turns that loop into *task dispatch*: the caller builds a flat
-list of picklable :class:`~repro.runtime.tasks.FitScoreTask` objects and
-hands them to an :class:`~repro.runtime.backends.ExecutionBackend`, which
-runs them serially, on a process pool, or on remote workers.  There is no
+package turns that loop into *task dispatch*: the Estimator builds a flat
+list of picklable :class:`~repro.runtime.tasks.FitScoreTask` objects,
+cuts it into one contiguous share per worker, and hands the shares to an
+:class:`~repro.runtime.backends.ExecutionBackend`, which runs them
+serially (one share), on a process pool, or on remote workers.  Every
+share carries the sweep's base featurization, so each worker splices
+its tasks' polluted states exactly as a serial run does.  There is no
 thread pool: on CPython two threads of the sweep's small numpy fits
 contend for the interpreter and run slower than one.
 
 Backend selection
 -----------------
-Backends are selected by name through the registry::
+Backends are selected by name::
 
     from repro.runtime import make_backend
 
@@ -28,7 +31,7 @@ line-delimited JSON) is exempt: its single worker still runs in another
 process, possibly on another machine.  Passing an already-constructed backend
 instance returns it unchanged, which lets tests and power users inject
 custom backends.  ``Comet(..., backend="process", jobs=4)`` and the CLI's
-``--backend/--jobs`` flags route through the same registry.
+``--backend/--jobs`` flags route through the same ``make_backend``.
 
 Determinism guarantees
 ----------------------
@@ -41,7 +44,8 @@ Serial, process, and distributed runs of the same session are
    polluted data state up front; a task is then a pure function of its
    payload (fit a model, score a split).
 2. *Results are reassembled by position.*  ``ExecutionBackend.map``
-   returns results in task order regardless of completion order.
+   returns results in share order regardless of completion order, and a
+   share scores its tasks in order.
 3. *Model fits are deterministic.*  Learners take explicit
    ``random_state`` hyperparameters and never touch global RNG state, and
    the FD memo (:mod:`repro.cache`) only holds values that a miss would
@@ -61,11 +65,7 @@ from repro.runtime.distributed import (
     run_worker,
     worker_serve,
 )
-from repro.runtime.registry import (
-    available_backends,
-    make_backend,
-    register_backend,
-)
+from repro.runtime.registry import available_backends, make_backend
 from repro.runtime.tasks import FitScoreTask, run_fit_score_task
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "listen_worker",
     "available_backends",
     "make_backend",
-    "register_backend",
     "FitScoreTask",
     "run_fit_score_task",
 ]

@@ -10,26 +10,21 @@ task was built.
 
 A task may also carry a *base*: the featurization of the sweep's
 unpolluted state, from which it copies every column its own state
-shares (:meth:`TabularModel.featurize`).  A serial sweep shares one
-base across its tasks.  Pickling drops it, so process and distributed
-payloads keep their size and workers featurize in full — with
-byte-identical results, since the base only saves recomputation.  The
-Estimator therefore builds a base only on the serial path.
-
-Task frames are copy-on-write (:mod:`repro.frame`): states produced by
-one E1 sweep share their untouched columns in the parent. The backends
-pickle each task on its own, though (the process pool with a chunk size
-of one, the distributed backend one frame per task), and pickle's memo
-only spans one payload, so every task carries every column of its two
-frames: about 318 KB per sweep-wide task (churn, 3000 rows), against
-about 54 KB a task when a batch of ten is pickled together. The salted
-identity tokens survive the trip, so a worker's columns keep the
-identities the parent minted.
+shares (:meth:`TabularModel.featurize`).  The Estimator gives every
+task of a sweep the same base and maps the sweep as one contiguous
+*share* per backend worker, each share one mapped item.  Task frames
+are copy-on-write (:mod:`repro.frame`): a sweep's states share their
+untouched columns with the base frames.  Pickle's memo spans one
+payload, so a share carries the base and every shared column once, plus
+the one polluted column of each task, and a worker splices exactly as
+the parent does.  The salted identity tokens survive the trip, so a
+worker's columns keep the identities the parent minted and still match
+the base's.
 
 The same purity is what makes the distributed backend's fault tolerance
-safe: :func:`run_fit_score_task` is importable by name in any worker
-process (pickle-by-reference) and has no side effects, so a task whose
-worker died mid-run can simply be requeued on another worker — the rerun
+safe: a share's runner is importable by name in any worker process
+(pickle-by-reference) and has no side effects, so a share whose worker
+died mid-run can simply be requeued on another worker — the rerun
 produces byte-identical results because every input was frozen into the
 payload at build time.
 """
@@ -65,7 +60,7 @@ class FitScoreTask:
         carried through untouched so results can be reassembled.
     base:
         Optional featurization of a state that shares columns with
-        ``train``/``test`` (:meth:`TabularModel.featurize`); never pickled.
+        ``train``/``test`` (:meth:`TabularModel.featurize`).
     """
 
     estimator: BaseEstimator
@@ -77,9 +72,6 @@ class FitScoreTask:
     base: Featurized | None = field(
         default=None, compare=False, repr=False
     )
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "base": None}
 
     def run(self) -> float:
         """Execute the evaluation and return the task metric."""

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.bayes import BayesianLinearRegression, polynomial_design
+from repro.bayes.linear_regression import _normal_quantile
 
 
 class TestPolynomialDesign:
@@ -88,6 +90,14 @@ class TestUncertainty:
         __, lo95, hi95 = model.credible_interval(probe, level=0.95)
         __, lo50, hi50 = model.credible_interval(probe, level=0.50)
         assert hi95[0] - lo95[0] > hi50[0] - lo50[0]
+
+    def test_quantile_is_bit_identical_to_norm_ppf(self):
+        # scipy.stats is the reference; the program takes the quantile
+        # from scipy.special.ndtri, which loads far faster.
+        levels = np.concatenate([[0.5, 0.8, 0.9, 0.95, 0.99], np.linspace(0.001, 0.999, 997)])
+        for level in levels:
+            p = 0.5 + float(level) / 2.0
+            assert _normal_quantile(p) == stats.norm.ppf(p)
 
 
 @given(

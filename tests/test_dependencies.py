@@ -1,6 +1,9 @@
-"""Every third-party module ``src/repro`` imports is declared in ``setup.py``."""
+"""Every third-party module ``src/repro`` imports is declared in ``setup.py``,
+and ``import repro`` leaves scipy's slow-loading subpackages unloaded."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +50,22 @@ def test_scan_sees_the_known_third_party_imports():
     imported = _imported_top_level_modules(_REPO / "src" / "repro")
     assert {"numpy", "scipy"} <= set(imported)
     assert {"numpy", "scipy"} <= set(_setup_keyword("install_requires"))
+
+
+def test_import_repro_leaves_scipy_optimize_and_stats_unloaded():
+    # Each costs ~0.4 s at import; a spawned worker pays it before its
+    # first share, so both load on first use instead.
+    env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

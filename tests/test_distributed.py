@@ -373,7 +373,7 @@ class TestTraceEquality:
         serial = _trace(polluted, "serial")
         backend = _backend()
         harness = WorkerHarness(backend)
-        harness.add("doomed", _fail_after_tasks=3)
+        harness.add("doomed", _fail_after_tasks=1)
         harness.add("survivor")
         assert backend.wait_for_workers(2, timeout=30) == 2
         try:

@@ -1,6 +1,6 @@
 """Tests for the execution-engine layer (``repro.runtime``).
 
-Covers the backend registry (selection by name, serial auto-fallback),
+Covers backend selection by name (with serial auto-fallback),
 ordered ``map`` semantics and lifecycle of every backend, picklable
 fit-score tasks, and the headline determinism guarantee: a COMET session
 produces a bit-identical :class:`CleaningTrace` on every backend.
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import repro.core.estimator as estimator_module
-import repro.runtime.registry as registry_module
 from repro.core import Comet, CometConfig, CometEstimator
 from repro.datasets import load_dataset, pollute
 from repro.errors import CategoricalShift, MissingValues
@@ -25,7 +24,6 @@ from repro.runtime import (
     SerialBackend,
     available_backends,
     make_backend,
-    register_backend,
     run_fit_score_task,
 )
 
@@ -62,15 +60,6 @@ class TestRegistry:
     def test_instance_passthrough(self):
         backend = ProcessBackend(2)
         assert make_backend(backend, jobs=8) is backend
-
-    def test_custom_registration(self, monkeypatch):
-        # On a copy of the registry, so later tests see the built-ins only.
-        monkeypatch.setattr(
-            registry_module, "_BACKENDS", dict(registry_module._BACKENDS)
-        )
-        register_backend("custom-serial", lambda jobs: SerialBackend())
-        assert "custom-serial" in available_backends()
-        assert isinstance(make_backend("custom-serial", jobs=3), SerialBackend)
 
     def test_invalid_worker_count_raises(self):
         with pytest.raises(ValueError):
@@ -204,9 +193,9 @@ class TestEstimatorDispatch:
 
     @pytest.mark.parametrize("error", ["missing", "categorical"])
     def test_backends_bit_identical_predictions(self, polluted, error):
-        # The serial run splices every polluted state from the sweep's
-        # base featurization; process workers receive no base and
-        # featurize in full. Both must agree bit for bit.
+        # Serial and process runs take one dispatch path: every task
+        # splices its polluted state from the sweep's base, in the
+        # parent or in a worker that unpickled its share.
         if error == "missing":
             train, test = polluted.train, polluted.test
             candidates = [(f, MissingValues()) for f in polluted.feature_names[:3]]
@@ -247,42 +236,62 @@ class TestEstimatorDispatch:
                 for t in tasks
             }
             assert min(widths) < width
-        # A pickled task leaves its base behind and scores the same.
-        for task in tasks[:2]:
-            revived = pickle.loads(pickle.dumps(task))
-            assert task.base is base and revived.base is None
-            assert run_fit_score_task(revived) == run_fit_score_task(task)
+        # A pickled share keeps one base, shared by all its tasks, and
+        # scores the same as the share it was pickled from.
+        share = tasks[: len(tasks) // 2]
+        revived = pickle.loads(pickle.dumps(share))
+        assert len({id(task.base) for task in revived}) == 1
+        assert revived[0].base is not None and revived[0].base is not base
+        assert estimator_module._run_share(revived) == estimator_module._run_share(share)
 
-    def test_base_is_built_only_on_the_serial_path(self, polluted, monkeypatch):
-        # Pickling drops the base, so a backend that ships its tasks
-        # elsewhere gets none; a serial sweep's tasks share a single one.
-        class Shipping(ExecutionBackend):
-            def map(self, fn, tasks):
-                self.bases = [task.base for task in tasks]
-                return [fn(task) for task in tasks]
+    def test_one_contiguous_share_per_worker(self, polluted):
+        # The backend receives exactly ``workers`` contiguous shares;
+        # together they are the sweep, in order, on one base.
+        class Recording(ExecutionBackend):
+            def __init__(self, workers):
+                self.workers = workers
 
-        candidates = [(f, MissingValues()) for f in polluted.feature_names[:2]]
+            def map(self, fn, shares):
+                self.shares = list(shares)
+                return [fn(share) for share in self.shares]
 
-        def sweep(backend):
-            self._estimator().estimate_many(
+        candidates = [(f, MissingValues()) for f in polluted.feature_names[:3]]
+        reference = self._estimator()
+        expected = [
+            task
+            for feature, error in candidates
+            for task in reference.build_candidate_tasks(
+                polluted.train, polluted.test, feature, error
+            ).tasks
+        ]
+        serial = self._estimator().estimate_many(
+            polluted.train, polluted.test, candidates, 0.8
+        )
+        for workers in (1, 2, 3):
+            backend = Recording(workers)
+            predictions = self._estimator().estimate_many(
                 polluted.train, polluted.test, candidates, 0.8, backend=backend
             )
-
-        shipping = Shipping()
-        sweep(shipping)
-        assert shipping.bases and set(shipping.bases) == {None}
-
-        for backend in (None, SerialBackend()):
-            bases = []
-
-            def recording(task):
-                bases.append(task.base)
-                return run_fit_score_task(task)
-
-            monkeypatch.setattr(estimator_module, "run_fit_score_task", recording)
-            sweep(backend)
-            assert bases and len({id(b) for b in bases}) == 1
-            assert bases[0] is not None
+            assert len(backend.shares) == workers
+            sizes = [len(share) for share in backend.shares]
+            assert max(sizes) - min(sizes) <= 1
+            shipped = [task for share in backend.shares for task in share]
+            assert [t.tag for t in shipped] == [t.tag for t in expected]
+            assert all(
+                s.train == e.train and s.test == e.test
+                for s, e in zip(shipped, expected)
+            )
+            assert len({id(task.base) for task in shipped}) == 1
+            assert shipped[0].base is not None
+            for p, s in zip(predictions, serial):
+                assert np.array_equal(p.scores, s.scores)
+                assert p.predicted_f1 == s.predicted_f1
+        # An empty sweep maps no share, so a pooled backend ships nothing.
+        backend = Recording(2)
+        assert self._estimator().estimate_many(
+            polluted.train, polluted.test, [], 0.8, backend=backend
+        ) == []
+        assert backend.shares == []
 
 
 class TestCometDeterminism:
