@@ -36,8 +36,10 @@ RR_REPEATS = 2
 # ``repro.runtime`` backend — results are trace-identical to serial runs
 # (the determinism contract), so this is purely a throughput knob.
 # Override with REPRO_BENCH_BACKEND=serial|process|distributed and
-# REPRO_BENCH_JOBS=<n>; the default uses the process pool on multi-core
-# hosts and degrades to serial on single-core ones (``jobs<=1`` → serial).
+# REPRO_BENCH_JOBS=<n>; ``distributed`` also needs
+# REPRO_DISTRIBUTED_CONNECT=host:port,... naming listening workers. The
+# default uses the process pool on multi-core hosts and degrades to
+# serial on single-core ones (``jobs<=1`` → serial).
 BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "process")
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS") or 0) or min(
     os.cpu_count() or 1, 4

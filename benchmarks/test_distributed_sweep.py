@@ -1,10 +1,12 @@
 """Micro-benchmark: one Estimator E1 sweep on the distributed backend.
 
 Times the same ``estimate_many`` candidate sweep as
-``test_runtime_backends.py`` on the serial backend and on a 2-worker
-local-loopback :class:`~repro.runtime.DistributedBackend` (auto-spawned
-``repro worker`` subprocesses speaking the JSON-lines protocol),
-verifies the predictions are bit-identical, and records
+``test_runtime_backends.py`` on the serial backend and on a loopback
+:class:`~repro.runtime.DistributedBackend` served by one, then two
+``repro worker --connect`` subprocesses that the benchmark launches
+against the coordinator's listener and reaps afterwards (the backend
+starts no processes of its own), verifies the predictions are
+bit-identical, and records
 ``benchmarks/results/BENCH_distributed.json`` (``REPRO_BENCH_RECORD=1``).
 
 Two topology-appropriate assertions, matching the acceptance criteria:
@@ -25,6 +27,7 @@ import time
 
 import numpy as np
 from _helpers import record
+from local_workers import local_workers
 
 from repro.cache import clear_shared_cache
 from repro.core import CometConfig, CometEstimator
@@ -53,9 +56,8 @@ def _sweep(backend, polluted, candidates):
 def _timed(backend, polluted, candidates, repeats=5):
     """Best-of-``repeats`` wall clock for one sweep, plus the predictions.
 
-    The first repeat amortizes worker registration on the distributed
-    backend; best-of then measures the steady state every topology
-    reaches in a real session.
+    Best-of measures the steady state every topology reaches in a real
+    session.
     """
     best = float("inf")
     predictions = None
@@ -68,6 +70,15 @@ def _timed(backend, polluted, candidates, repeats=5):
     return best, predictions
 
 
+def _timed_workers(jobs, polluted, candidates):
+    """``_timed`` on a coordinator served by ``jobs`` worker processes."""
+    backend = DistributedBackend(jobs)
+    with local_workers(backend, jobs):
+        registered = backend.wait_for_workers(jobs, timeout=90)
+        assert registered == jobs, f"{registered} of {jobs} workers registered"
+        return _timed(backend, polluted, candidates)
+
+
 def test_estimator_sweep_distributed(benchmark):
     dataset = load_dataset("eeg", n_rows=240, rng=0)
     polluted = pollute(dataset, error_types=["missing"], rng=1)
@@ -78,16 +89,12 @@ def test_estimator_sweep_distributed(benchmark):
     def run():
         serial_s, serial_preds = _timed(SerialBackend(), polluted, candidates)
         # jobs=1: one remote worker — isolates pure wire/pickle overhead.
-        one_s, one_preds = _timed(
-            DistributedBackend(1), polluted, candidates
-        )
-        two_s, two_preds = _timed(
-            DistributedBackend(2), polluted, candidates
-        )
+        one_s, one_preds = _timed_workers(1, polluted, candidates)
+        two_s, two_preds = _timed_workers(2, polluted, candidates)
         results = {
             "workload": "estimate_many: 6 candidates x 2 combinations x 2 steps (eeg/mlp)",
             "n_tasks": n_tasks,
-            "topology": "loopback listener + auto-spawned `repro worker` subprocesses",
+            "topology": "loopback listener + `repro worker --connect` subprocesses",
             "cpu_count": os.cpu_count(),
             "serial_s": serial_s,
             "distributed_1w_s": one_s,

@@ -706,6 +706,16 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) == "distributed":
+        # Refuse up front, before any dataset loads: without worker
+        # addresses the coordinator would have nobody to dispatch to.
+        from repro.runtime.distributed import connect_from_env
+
+        try:
+            connect_from_env()
+        except ValueError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -47,7 +47,9 @@ class Comet(CleaningSession):
         detect-and-impute pipeline.
     backend:
         Execution backend for the Estimator's E1 sweep: a registry name
-        (``"serial"``, ``"process"``, ``"distributed"``) or an
+        (``"serial"``, ``"process"`` for this host's cores, or
+        ``"distributed"`` for the remote workers named in
+        ``REPRO_DISTRIBUTED_CONNECT``) or an
         :class:`~repro.runtime.ExecutionBackend` instance. Traces are
         bit-identical across backends for a fixed ``rng`` (the
         ``repro.runtime`` determinism contract); the backend is purely a

@@ -74,7 +74,9 @@ class Configuration:
         Random-baseline repetitions averaged per setting (5 in §4.5).
     backend:
         Execution backend name for COMET's estimation sweep
-        (``"serial"``, ``"process"``, ``"distributed"``).
+        (``"serial"``, ``"process"`` for this host's cores, or
+        ``"distributed"`` for the remote workers named in
+        ``REPRO_DISTRIBUTED_CONNECT``).
     jobs:
         Worker count for the backend; ``1`` falls back to serial.
     """

@@ -25,12 +25,15 @@ Backends are selected by name::
 
 ``make_backend`` auto-falls back to :class:`SerialBackend` whenever
 ``jobs <= 1`` — asking for one worker *is* serial execution, so callers
-never pay pool overhead for it.  The ``"distributed"`` backend
-(:mod:`repro.runtime.distributed` — remote worker processes over
-line-delimited JSON) is exempt: its single worker still runs in another
-process, possibly on another machine.  Passing an already-constructed backend
-instance returns it unchanged, which lets tests and power users inject
-custom backends.  ``Comet(..., backend="process", jobs=4)`` and the CLI's
+never pay pool overhead for it.  ``"process"`` is the one parallel path
+on this host.  ``"distributed"`` (:mod:`repro.runtime.distributed`)
+dispatches to worker processes that run elsewhere, over line-delimited
+JSON; by name it dials the listening workers named in
+``REPRO_DISTRIBUTED_CONNECT`` and raises :class:`ValueError` without
+them.  It is exempt from the serial fallback: its single worker runs in
+another process, usually on another machine.  Passing an
+already-constructed backend instance returns it unchanged, which lets
+tests and power users inject custom backends.  ``Comet(..., backend="process", jobs=4)`` and the CLI's
 ``--backend/--jobs`` flags route through the same ``make_backend``.
 
 Determinism guarantees
@@ -54,6 +57,11 @@ Serial, process, and distributed runs of the same session are
 Consequently a :class:`~repro.core.trace.CleaningTrace` produced with
 ``backend="process", jobs=4`` equals the ``backend="serial"`` trace for
 the same seed, and the choice of backend is purely a throughput knob.
+Point 3 assumes every worker computes with the parent's BLAS kernels
+and library versions, which holds for the process pool by construction.
+Remote workers on another CPU can pick other kernels and score
+differently; nothing checks this yet (see
+:mod:`repro.runtime.distributed`).
 """
 
 from repro.runtime.backends import ExecutionBackend, ProcessBackend, SerialBackend

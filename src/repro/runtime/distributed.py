@@ -1,22 +1,22 @@
 """Distributed execution backend: fit-score sweeps on remote workers.
 
 The coordinator (:class:`DistributedBackend`) ships pickled tasks to
-worker *processes* — on this machine or across the network — over the
-same line-delimited-JSON framing the COMET service speaks
-(:mod:`repro.runtime.wire`).  On a multi-core host two local workers
-give the E1 sweep true CPU parallelism, as the process pool does; across
-hosts it is the only road past the machine boundary.
+worker processes that run somewhere else, over the same
+line-delimited-JSON framing the COMET service speaks
+(:mod:`repro.runtime.wire`).  It is the road past the machine boundary;
+for parallelism on one host use ``backend="process"``.
 
 Topology
 --------
-The coordinator always listens on a TCP port; workers dial in and
-register (``repro worker --connect host:port``).  For inverted networks
-the worker can listen instead (``repro worker --listen host:port``) and
-the coordinator dials out to the addresses in its ``connect=[...]``
-option (or the ``REPRO_DISTRIBUTED_CONNECT`` environment variable).
-When neither is configured the backend *spawns* ``jobs`` local worker
-subprocesses pointed at its own listener, so
-``Comet(backend="distributed", jobs=2)`` works with zero setup.
+The coordinator dials out to listening workers (``repro worker --listen
+host:port``) at the addresses in its ``connect=[...]`` option or, when
+built by name (``make_backend("distributed", ...)``, ``Comet``,
+``CometService``, the CLI), in the ``REPRO_DISTRIBUTED_CONNECT``
+environment variable; without it the by-name build raises
+:class:`ValueError`, since no worker could reach the coordinator.
+It also listens on ``listen`` (loopback and an ephemeral port unless
+given), so workers can dial in instead (``repro worker --connect
+host:port``) once they know the bound :attr:`~DistributedBackend.address`.
 
 Protocol (one JSON object per line; pickles ride base64 inside)::
 
@@ -50,22 +50,25 @@ private network, an SSH tunnel).
 Fault tolerance
 ---------------
 Workers send periodic heartbeats; the coordinator evicts a worker whose
-connection drops, whose heartbeats stop (``heartbeat_timeout``), or
-whose task exceeds ``task_timeout`` — and **requeues** the task the
-evicted worker held, at the front of the queue.  A task that raised on a
-worker is *not* requeued (tasks are pure, so it would raise everywhere);
-the error surfaces as :class:`RemoteTaskError` carrying the remote
-traceback.  If no worker is available for ``register_timeout`` seconds
-the coordinator runs queued tasks inline (with a warning) so a sweep
-never stalls.
+connection drops or that misses five heartbeats in a row, and
+**requeues** the task the evicted worker held, at the front of the
+queue.  A task that raised on a worker is *not* requeued (tasks are
+pure, so it would raise everywhere); the error surfaces as
+:class:`RemoteTaskError` carrying the remote traceback.  If no worker
+is available for ``register_timeout`` seconds the coordinator runs
+queued tasks inline (with a warning) so a sweep never stalls.
 
 Determinism
 -----------
 The bit-identical-trace contract of :mod:`repro.runtime` is preserved
 unchanged: every random draw happened while *building* tasks, each task
 is a pure function of its pickled payload, and results are reassembled
-by submission position.  Worker placement, eviction, and requeueing can
-therefore never alter a trace — only its wall-clock.
+by submission position.  Worker placement, eviction, and requeueing
+therefore cannot alter a trace, only its wall-clock, **provided every
+worker runs the coordinator's BLAS kernels and library versions**.  A
+worker whose OpenBLAS picks other kernels (Haswell against a SkylakeX
+coordinator, say) can compute a different ``X.T @ X`` and so a
+different score.  Nothing checks this condition yet.
 """
 
 from __future__ import annotations
@@ -74,8 +77,6 @@ import itertools
 import os
 import socket
 import ssl
-import subprocess
-import sys
 import threading
 import time
 import traceback
@@ -86,7 +87,6 @@ from typing import Callable, Iterable, Sequence
 
 from repro.runtime.backends import ExecutionBackend
 from repro.runtime.wire import (
-    DEFAULT_MAX_TASK_FRAME,
     FrameError,
     JSONLineConnection,
     format_address,
@@ -120,6 +120,32 @@ PROTOCOL_VERSION = 1
 #: (comma-separated ``host:port`` entries).
 CONNECT_ENV = "REPRO_DISTRIBUTED_CONNECT"
 
+#: Seconds a coordinator gives one worker link to connect, finish its
+#: TLS handshake and complete the hello/welcome exchange.
+HANDSHAKE_TIMEOUT = 10.0
+
+#: Heartbeats a worker may miss in a row before it is evicted.
+MISSED_HEARTBEATS = 5
+
+
+def connect_from_env() -> list[tuple[str, int]]:
+    """Worker addresses from ``REPRO_DISTRIBUTED_CONNECT``.
+
+    Raises :class:`ValueError` when the variable is unset or empty: a
+    coordinator built by name listens on an ephemeral loopback port that
+    no worker can find, so it would have nobody to dispatch to.
+    """
+    parts = os.environ.get(CONNECT_ENV, "").split(",")
+    addresses = [parse_address(part.strip()) for part in parts if part.strip()]
+    if not addresses:
+        raise ValueError(
+            f"the distributed backend needs worker addresses: set {CONNECT_ENV}"
+            "=host:port[,host:port...] to listening workers (started with "
+            "'repro worker --listen host:port'); for parallelism on one "
+            'host use backend="process"'
+        )
+    return addresses
+
 
 class RemoteTaskError(RuntimeError):
     """A task raised on a worker; carries the remote type and traceback."""
@@ -143,7 +169,7 @@ class WorkerLostError(RuntimeError):
 class _Task:
     """One queued unit of work: the call, its wire payload, its future."""
 
-    __slots__ = ("id", "call", "payload", "future", "attempts", "started_at")
+    __slots__ = ("id", "call", "payload", "future", "attempts")
 
     def __init__(self, task_id: int, call: tuple, payload: str) -> None:
         self.id = task_id
@@ -151,7 +177,6 @@ class _Task:
         self.payload = payload
         self.future: Future = Future()
         self.attempts = 0
-        self.started_at = 0.0
 
 
 class _Worker:
@@ -175,35 +200,23 @@ class DistributedBackend(ExecutionBackend):
     Parameters
     ----------
     jobs:
-        Nominal worker count.  With no ``connect`` addresses this many
-        local ``repro worker`` subprocesses are spawned against the
-        coordinator's own listener (``spawn_workers`` overrides).
+        Nominal worker count: the Estimator cuts each sweep into this
+        many shares.  Match it to the workers that serve the coordinator.
     connect:
         Addresses of *listening* workers (``repro worker --listen``) to
         dial at startup, as ``host:port`` strings or ``(host, port)``
-        pairs.  Defaults to the ``REPRO_DISTRIBUTED_CONNECT``
-        environment variable; when set, no local workers are spawned.
+        pairs.  :meth:`from_env` reads them from
+        ``REPRO_DISTRIBUTED_CONNECT``.
     listen:
         ``(host, port)`` the coordinator binds for dial-in workers
         (default: loopback, ephemeral port — read it back from
         :attr:`address`).
-    spawn_workers:
-        Local worker subprocesses to launch (default: ``jobs`` when
-        ``connect`` is empty, else 0).
     heartbeat:
         Seconds between worker heartbeats (sent to workers in the
-        welcome frame).
-    heartbeat_timeout:
-        Silence after which a worker is evicted (default
-        ``5 × heartbeat``).
-    task_timeout:
-        Wall-clock bound per task dispatch; exceeding it evicts the
-        worker and requeues the task (default: none — fit tasks vary
-        hugely with dataset size).
+        welcome frame).  A worker silent for five of them is evicted.
     register_timeout:
         How long a queued task waits for *any* worker before the
-        coordinator runs it inline (``inline_fallback=False`` disables
-        the fallback and keeps waiting).
+        coordinator runs it inline.
     max_task_retries:
         Worker deaths one task survives before its future fails with
         :class:`WorkerLostError`.
@@ -212,10 +225,7 @@ class DistributedBackend(ExecutionBackend):
         coordinator owns.  A token turns on the mutual HMAC handshake
         (both for dial-in workers and for listeners it dials);
         ``certfile``/``keyfile`` wrap accepted connections in TLS;
-        ``cafile`` verifies listening workers it dials out to.  Spawned
-        local workers inherit the token through the environment and the
-        coordinator's certificate as their CA, so
-        ``Comet(backend="distributed")`` stays zero-setup.
+        ``cafile`` verifies listening workers it dials out to.
     insecure:
         Allow a non-loopback ``listen`` without a token.  The default
         refuses (fail-closed): the task protocol unpickles payloads,
@@ -234,14 +244,8 @@ class DistributedBackend(ExecutionBackend):
         *,
         connect: Iterable | None = None,
         listen: tuple[str, int] = ("127.0.0.1", 0),
-        spawn_workers: int | None = None,
         heartbeat: float = 1.0,
-        heartbeat_timeout: float | None = None,
-        task_timeout: float | None = None,
         register_timeout: float = 10.0,
-        handshake_timeout: float = 10.0,
-        max_frame: int = DEFAULT_MAX_TASK_FRAME,
-        inline_fallback: bool = True,
         max_task_retries: int = 3,
         security: TransportSecurity | None = None,
         insecure: bool = False,
@@ -262,20 +266,8 @@ class DistributedBackend(ExecutionBackend):
         self.workers = jobs
         self.connect = [self._normalize(a) for a in (connect or [])]
         self.listen = listen
-        self.spawn_workers = (
-            (jobs if not self.connect else 0)
-            if spawn_workers is None
-            else spawn_workers
-        )
         self.heartbeat = float(heartbeat)
-        self.heartbeat_timeout = (
-            5.0 * self.heartbeat if heartbeat_timeout is None else heartbeat_timeout
-        )
-        self.task_timeout = task_timeout
         self.register_timeout = register_timeout
-        self.handshake_timeout = handshake_timeout
-        self.max_frame = max_frame
-        self.inline_fallback = inline_fallback
         self.max_task_retries = max_task_retries
 
         self._lock = threading.Lock()
@@ -287,7 +279,6 @@ class DistributedBackend(ExecutionBackend):
         self._worker_ids = itertools.count()
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        self._procs: list[subprocess.Popen] = []
         self._stop = threading.Event()
         self._started = False
         self._degraded = False
@@ -303,24 +294,20 @@ class DistributedBackend(ExecutionBackend):
         return str(host), int(port)
 
     @classmethod
-    def from_env(cls, jobs: int = 2, **kwargs) -> "DistributedBackend":
+    def from_env(cls, jobs: int = 2) -> "DistributedBackend":
         """Build with ``connect`` taken from ``REPRO_DISTRIBUTED_CONNECT``
         and the shared token from ``REPRO_AUTH_TOKEN``.
 
-        This is how ``Comet(backend="distributed")`` picks up security
-        with zero code changes: export the token and every link —
-        coordinator listener, dialed workers, spawned local workers —
-        authenticates with it.
+        This is how ``Comet(backend="distributed")`` finds its workers
+        and picks up security with zero code changes: export both
+        variables and every link authenticates with the token.  Raises
+        :class:`ValueError` (see :func:`connect_from_env`) before any
+        socket opens when no worker address is configured.
         """
-        if "connect" not in kwargs:
-            raw = os.environ.get(CONNECT_ENV, "")
-            addresses = [part.strip() for part in raw.split(",") if part.strip()]
-            kwargs["connect"] = addresses or None
-        if "security" not in kwargs:
-            token = load_token()
-            if token is not None:
-                kwargs["security"] = TransportSecurity(token=token)
-        return cls(jobs, **kwargs)
+        connect = connect_from_env()
+        token = load_token()
+        security = TransportSecurity(token=token) if token is not None else None
+        return cls(jobs, connect=connect, security=security)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -333,7 +320,7 @@ class DistributedBackend(ExecutionBackend):
         return self._listener.getsockname()[:2]
 
     def start(self) -> None:
-        """Open the listener, dial/spawn workers, start service threads."""
+        """Open the listener, dial workers, start service threads."""
         with self._lock:
             if self._started or self._degraded:
                 return
@@ -350,15 +337,9 @@ class DistributedBackend(ExecutionBackend):
         self._spawn_thread(self._monitor_loop, "repro-dist-monitor")
         for address in self.connect:
             self._dial_worker(address)
-        if self.spawn_workers > 0:
-            try:
-                self._spawn_local_workers(self.spawn_workers)
-            except OSError as exc:
-                self.shutdown()
-                self._degrade(f"cannot spawn local workers: {exc}")
 
     def shutdown(self) -> None:
-        """Stop serving: dismiss workers, fail leftovers, reap processes."""
+        """Stop serving: dismiss workers, fail leftovers, join threads."""
         with self._lock:
             if not self._started:
                 return
@@ -396,13 +377,6 @@ class DistributedBackend(ExecutionBackend):
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads.clear()
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-        self._procs.clear()
 
     def _degrade(self, reason: str) -> None:
         self._degraded = True
@@ -417,51 +391,10 @@ class DistributedBackend(ExecutionBackend):
         thread.start()
         self._threads.append(thread)
 
-    def _spawn_local_workers(self, count: int) -> None:
-        """Launch ``count`` ``repro worker`` subprocesses at our listener."""
-        host, port = self.address
-        # The workers must import repro the way this process does, even
-        # when it runs from a source tree that is not installed — put the
-        # directory *containing* the repro package on their PYTHONPATH.
-        package_parent = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_parent, env.get("PYTHONPATH")) if p
-        )
-        extra: list[str] = []
-        if self.security is not None:
-            if self.security.token:
-                # Through the environment, never argv: /proc/<pid>/cmdline
-                # is world-readable.
-                env[AUTH_TOKEN_ENV] = self.security.token
-            if self.security.serves_tls:
-                # Our own certificate is the workers' CA: that pins it.
-                extra += ["--tls-ca", self.security.certfile]
-        for index in range(count):
-            self._procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "worker",
-                        "--connect",
-                        f"{host}:{port}",
-                        "--id",
-                        f"local-{index}",
-                        *extra,
-                    ],
-                    env=env,
-                    stdout=subprocess.DEVNULL,
-                )
-            )
-
     def _dial_worker(self, address: tuple[str, int]) -> None:
         """Connect out to one listening worker (``connect`` topology)."""
         try:
-            sock = socket.create_connection(address, timeout=self.handshake_timeout)
+            sock = socket.create_connection(address, timeout=HANDSHAKE_TIMEOUT)
             if self.security is not None and self.security.dials_tls:
                 sock = self.security.wrap_client(
                     sock, server_hostname=address[0]
@@ -470,7 +403,7 @@ class DistributedBackend(ExecutionBackend):
             raise ConnectionError(
                 f"cannot reach worker at {format_address(address)}: {exc}"
             ) from exc
-        conn = JSONLineConnection(sock, self.max_frame)
+        conn = JSONLineConnection(sock)
         self._spawn_thread(
             lambda: self._serve_connection(conn), "repro-dist-reader"
         )
@@ -493,7 +426,7 @@ class DistributedBackend(ExecutionBackend):
                 except OSError:
                     sock.close()
                     continue
-            conn = JSONLineConnection(sock, self.max_frame)
+            conn = JSONLineConnection(sock)
             self._spawn_thread(
                 lambda c=conn: self._serve_connection(c), "repro-dist-reader"
             )
@@ -501,7 +434,7 @@ class DistributedBackend(ExecutionBackend):
     def _serve_connection(self, conn: JSONLineConnection) -> None:
         """Handshake one connection, then pump its frames until it dies."""
         if isinstance(conn.sock, ssl.SSLSocket) and conn.sock.server_side:
-            conn.sock.settimeout(self.handshake_timeout)
+            conn.sock.settimeout(HANDSHAKE_TIMEOUT)
             try:
                 conn.sock.do_handshake()
             except OSError:
@@ -524,7 +457,7 @@ class DistributedBackend(ExecutionBackend):
             self._evict(worker, "connection lost")
 
     def _handshake(self, conn: JSONLineConnection) -> _Worker | None:
-        conn.sock.settimeout(self.handshake_timeout)
+        conn.sock.settimeout(HANDSHAKE_TIMEOUT)
         security = self.security
         try:
             hello = conn.recv()
@@ -685,7 +618,6 @@ class DistributedBackend(ExecutionBackend):
                 if inline_task is None and assignment is not None:
                     task, worker = assignment
                     worker.current = task
-                    task.started_at = time.monotonic()
                     self._inflight[task.id] = task
             if inline_task is not None:
                 self._run_inline(inline_task)
@@ -707,7 +639,7 @@ class DistributedBackend(ExecutionBackend):
 
     def _inline_due(self) -> bool:
         """Whether queued work has waited long enough to run locally."""
-        if not self.inline_fallback or self._workers:
+        if self._workers:
             return False
         if time.monotonic() - self._last_worker_seen < self.register_timeout:
             return False
@@ -732,21 +664,17 @@ class DistributedBackend(ExecutionBackend):
 
     def _monitor_loop(self) -> None:
         tick = max(0.05, self.heartbeat / 2.0)
+        timeout = MISSED_HEARTBEATS * self.heartbeat
         while not self._stop.wait(tick):
             now = time.monotonic()
-            stale: list[tuple[_Worker, str]] = []
             with self._lock:
-                for worker in self._workers.values():
-                    if now - worker.last_seen > self.heartbeat_timeout:
-                        stale.append((worker, "heartbeat timeout"))
-                    elif (
-                        self.task_timeout is not None
-                        and worker.current is not None
-                        and now - worker.current.started_at > self.task_timeout
-                    ):
-                        stale.append((worker, "task timeout"))
-            for worker, reason in stale:
-                self._evict(worker, reason)
+                stale = [
+                    worker
+                    for worker in self._workers.values()
+                    if now - worker.last_seen > timeout
+                ]
+            for worker in stale:
+                self._evict(worker, "heartbeat timeout")
 
     # ------------------------------------------------------------------ #
     # the ExecutionBackend verb
@@ -813,7 +741,6 @@ class DistributedBackend(ExecutionBackend):
                 "backend": self.name,
                 "nominal_workers": self.workers,
                 "live_workers": len(self._workers),
-                "spawned_processes": len(self._procs),
                 "pending": len(self._pending),
                 "inflight": len(self._inflight),
                 "degraded": self._degraded,
@@ -857,7 +784,6 @@ def worker_serve(
     worker_id: str = "worker",
     security: TransportSecurity | None = None,
     _fail_after_tasks: int | None = None,
-    _mute: bool = False,
 ) -> int:
     """Serve one coordinator over an established connection.
 
@@ -871,10 +797,9 @@ def worker_serve(
     task → result until the coordinator says ``shutdown`` or the
     connection ends.  Returns the number of tasks completed.
 
-    ``_fail_after_tasks`` and ``_mute`` are failure-injection hooks for
-    the fault-tolerance tests: the former makes the worker drop its
-    connection (simulated crash) when task ``n + 1`` arrives, the latter
-    suppresses heartbeats so eviction-by-silence can be exercised.
+    ``_fail_after_tasks`` is a failure-injection hook for the
+    fault-tolerance tests: it makes the worker drop its connection
+    (simulated crash) when task ``n + 1`` arrives.
     """
     try:
         challenge = (
@@ -931,10 +856,9 @@ def worker_serve(
             except (OSError, FrameError):
                 return
 
-    if not _mute:
-        threading.Thread(
-            target=_beat, name=f"{worker_id}-heartbeat", daemon=True
-        ).start()
+    threading.Thread(
+        target=_beat, name=f"{worker_id}-heartbeat", daemon=True
+    ).start()
     done = 0
     try:
         while True:
@@ -960,7 +884,6 @@ def run_worker(
     worker_id: str = "worker",
     retries: int = 60,
     backoff: float = 0.25,
-    max_frame: int = DEFAULT_MAX_TASK_FRAME,
     security: TransportSecurity | None = None,
 ) -> int:
     """Dial a coordinator (with bounded connect retries) and serve it.
@@ -999,7 +922,7 @@ def run_worker(
             ) from exc
     sock.settimeout(None)
     return worker_serve(
-        JSONLineConnection(sock, max_frame),
+        JSONLineConnection(sock),
         worker_id=worker_id,
         security=security,
     )
@@ -1009,7 +932,6 @@ def listen_worker(
     *,
     listen: str | tuple[str, int],
     worker_id: str = "worker",
-    max_frame: int = DEFAULT_MAX_TASK_FRAME,
     once: bool = False,
     ready: Callable[[tuple[str, int]], None] | None = None,
     security: TransportSecurity | None = None,
@@ -1057,7 +979,7 @@ def listen_worker(
                     continue  # peer does not speak TLS
             try:
                 total += worker_serve(
-                    JSONLineConnection(sock, max_frame),
+                    JSONLineConnection(sock),
                     worker_id=worker_id,
                     security=security,
                 )

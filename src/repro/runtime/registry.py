@@ -40,7 +40,11 @@ def make_backend(
         Worker count.  ``jobs <= 1`` yields a :class:`SerialBackend` —
         one local worker is serial execution, so no pool is ever paid
         for it.  ``"distributed"`` is exempt: its single worker runs in
-        another process, possibly on another machine.
+        another process, usually on another machine.
+
+    Raises :class:`ValueError` for an unknown name, and for
+    ``"distributed"`` when ``REPRO_DISTRIBUTED_CONNECT`` names no worker
+    (use ``"process"`` for parallelism on one host).
     """
     if isinstance(backend, ExecutionBackend):
         return backend

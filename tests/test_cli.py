@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.distributed import CONNECT_ENV
 
 
 class TestParser:
@@ -71,6 +72,26 @@ class TestSessionCommands:
         )
         assert args.command == "serve"
         assert args.backend == "distributed" and args.jobs == 3
+
+    def test_distributed_without_workers_is_an_operator_error(
+        self, monkeypatch, capsys
+    ):
+        # No REPRO_DISTRIBUTED_CONNECT: no worker could reach the
+        # coordinator, so every backend-taking command refuses on stderr
+        # with exit 2 before loading anything, and points at "process".
+        monkeypatch.delenv(CONNECT_ENV, raising=False)
+        for argv in (
+            ["run", "--dataset", "cmc"],
+            ["recommend", "--dataset", "cmc"],
+            ["serve"],
+            ["resume", "--checkpoint", "absent.ckpt"],
+        ):
+            assert main([*argv, "--backend", "distributed", "--jobs", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{argv[0]}: ")
+            assert CONNECT_ENV in captured.err
+            assert 'backend="process"' in captured.err
 
     def test_serve_rejects_thread_backend(self, capsys):
         # The thread backend was retired; argparse's choices reject it.

@@ -7,9 +7,9 @@ paths (worker death mid-task, heartbeat eviction of a hung worker, retry
 exhaustion, the no-worker inline fallback), and the headline acceptance pin: a full E1
 sweep trace is bit-identical between ``backend="serial"`` and
 ``backend="distributed"`` with two workers — including under induced
-worker death.  Subprocess topologies (auto-spawned local workers, the
-``repro worker --listen`` inversion) are exercised end-to-end through
-the real CLI.
+worker death.  Subprocess topologies (``repro worker --connect``
+processes dialing in, the ``repro worker --listen`` inversion) are
+exercised end-to-end through the real CLI.
 """
 
 import io
@@ -21,6 +21,7 @@ import threading
 import time
 
 import pytest
+from local_workers import local_workers
 
 from repro.core import Comet, CometConfig
 from repro.datasets import load_dataset, pollute
@@ -108,7 +109,6 @@ class WorkerHarness:
 
 
 def _backend(jobs: int = 2, **kwargs) -> DistributedBackend:
-    kwargs.setdefault("spawn_workers", 0)
     kwargs.setdefault("heartbeat", 0.2)
     kwargs.setdefault("register_timeout", 60.0)
     return DistributedBackend(jobs, **kwargs)
@@ -172,14 +172,16 @@ class TestDistributedRegistry:
     def test_registered(self):
         assert "distributed" in available_backends()
 
-    def test_make_backend_by_name(self):
+    def test_make_backend_by_name(self, monkeypatch):
+        monkeypatch.setenv(CONNECT_ENV, "10.0.0.7:9000")
         backend = make_backend("distributed", jobs=2)
         assert isinstance(backend, DistributedBackend)
         assert backend.workers == 2
 
-    def test_single_worker_stays_distributed(self):
+    def test_single_worker_stays_distributed(self, monkeypatch):
         # One *remote* worker is still remote execution — the jobs<=1
         # serial fallback of the process pool must not apply.
+        monkeypatch.setenv(CONNECT_ENV, "10.0.0.7:9000")
         backend = make_backend("distributed", jobs=1)
         assert isinstance(backend, DistributedBackend)
 
@@ -191,12 +193,20 @@ class TestDistributedRegistry:
         monkeypatch.setenv(CONNECT_ENV, "10.0.0.7:9000, 10.0.0.8:9001")
         backend = make_backend("distributed", jobs=2)
         assert backend.connect == [("10.0.0.7", 9000), ("10.0.0.8", 9001)]
-        assert backend.spawn_workers == 0  # explicit workers: nothing spawned
 
-    def test_no_env_spawns_locally(self, monkeypatch):
+    def test_no_env_refuses_before_opening_anything(self, monkeypatch):
+        # No worker could find a by-name coordinator's ephemeral port, so
+        # it refuses to exist rather than fall back or start processes.
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("the refusal must come before any socket")
+
         monkeypatch.delenv(CONNECT_ENV, raising=False)
-        backend = make_backend("distributed", jobs=3)
-        assert backend.connect == [] and backend.spawn_workers == 3
+        monkeypatch.setattr(socket, "create_server", _forbidden)
+        monkeypatch.setattr(socket, "create_connection", _forbidden)
+        monkeypatch.setattr(subprocess, "Popen", _forbidden)
+        with pytest.raises(ValueError, match=CONNECT_ENV) as excinfo:
+            make_backend("distributed", jobs=2)
+        assert 'backend="process"' in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------- #
@@ -279,7 +289,7 @@ class TestFaultTolerance:
         assert stats["requeued"] >= 1 and stats["evicted"] >= 1
 
     def test_hung_worker_evicted_by_heartbeat_timeout(self):
-        backend = _backend(heartbeat=0.1, heartbeat_timeout=0.5)
+        backend = _backend(heartbeat=0.1)  # evicted after five silent beats
         harness = WorkerHarness(backend)
         try:
             harness.add_hung()
@@ -297,9 +307,7 @@ class TestFaultTolerance:
             backend.shutdown()
 
     def test_retry_exhaustion_raises_worker_lost(self):
-        backend = _backend(
-            jobs=1, max_task_retries=0, inline_fallback=False
-        )
+        backend = _backend(jobs=1, max_task_retries=0)
         harness = WorkerHarness(backend)
         try:
             harness.add("dies", _fail_after_tasks=0)
@@ -390,18 +398,20 @@ class TestTraceEquality:
 # ---------------------------------------------------------------------- #
 class TestSubprocessWorkers:
     def test_spawned_local_workers_run_the_sweep(self, polluted):
+        # Two real `repro worker --connect` processes dial the
+        # coordinator's listener, as an operator would start them.
         backend = DistributedBackend(jobs=2)
-        backend.start()
-        if backend.wait_for_workers(2, timeout=90) < 2:
-            backend.shutdown()
-            pytest.skip("cannot spawn local worker subprocesses here")
-        try:
-            distributed = _trace(polluted, backend, jobs=2)
+        with local_workers(backend, 2) as procs:
+            if backend.wait_for_workers(2, timeout=90) < 2:
+                pytest.skip("cannot start local worker subprocesses here")
             info = backend.worker_info()
-        finally:
-            backend.shutdown()
+            distributed = _trace(polluted, backend, jobs=2)
+            stats = backend.stats()
         assert distributed == _trace(polluted, "serial")
-        assert all(w["pid"] not in (0, None) for w in info)
+        assert sorted(w["pid"] for w in info) == sorted(p.pid for p in procs)
+        assert stats["done"] > 0 and stats["inline"] == 0
+        # Dismissed by the coordinator's shutdown, each exits cleanly.
+        assert [p.returncode for p in procs] == [0, 0]
 
     def test_listen_topology_roundtrip(self):
         # Inverted topology: the worker owns the port, the coordinator

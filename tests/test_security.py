@@ -20,6 +20,7 @@ import pytest
 
 from repro.cli import main
 from repro.runtime.distributed import (
+    CONNECT_ENV,
     DistributedBackend,
     listen_worker,
     run_worker,
@@ -583,7 +584,6 @@ def _square(x):
 
 
 def _secured_backend(**kwargs):
-    kwargs.setdefault("spawn_workers", 0)
     kwargs.setdefault("heartbeat", 0.2)
     kwargs.setdefault("register_timeout", 60.0)
     kwargs.setdefault("security", TransportSecurity(token=TOKEN))
@@ -747,14 +747,16 @@ class TestDistributedAuth:
             listen_worker(listen=("0.0.0.0", 0))
 
     def test_from_env_picks_up_token(self, monkeypatch):
+        monkeypatch.setenv(CONNECT_ENV, "127.0.0.1:9001")
         monkeypatch.setenv(AUTH_TOKEN_ENV, TOKEN)
-        backend = DistributedBackend.from_env(2, spawn_workers=0)
+        backend = DistributedBackend.from_env(2)
         assert backend.security is not None
         assert backend.security.token == TOKEN
 
     def test_from_env_without_token_is_open(self, monkeypatch):
+        monkeypatch.setenv(CONNECT_ENV, "127.0.0.1:9001")
         monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
-        backend = DistributedBackend.from_env(2, spawn_workers=0)
+        backend = DistributedBackend.from_env(2)
         assert backend.security is None
 
 
